@@ -33,6 +33,13 @@
 //! throughput in millions of interactions per second) and the stint kind, so
 //! the refinement-leg win of the decoded stint is tracked per PR.
 //!
+//! Every row carries `wrong_outputs`, the timed trials that converged to a
+//! wrong answer.  Only `--workload approximate` can report a non-zero count:
+//! Theorem 1 holds with high probability, so an estimate outside
+//! `{⌊log₂ n⌋, ⌈log₂ n⌉}` is a measurement, not a crash.  A CountExact run
+//! that counts a wrong total aborts the binary with a non-zero exit status
+//! instead, because Theorem 2 is exact.
+//!
 //! The default workload is the one-way epidemic run to full convergence —
 //! the same transition system on every engine (`DenseSimulator` dispatch),
 //! so the ratio columns are pure engine speedup.  `--workload approximate`
@@ -114,6 +121,8 @@ struct Measurement {
     /// choice as `min_seconds`, which the CI regression gate reads).
     /// `None` off the hybrid path.
     legs: Option<HybridLegs>,
+    /// Timed trials that converged to a wrong output.
+    wrong_outputs: usize,
 }
 
 /// Per-leg accounting emitted on hybrid rows: throughput of each
@@ -131,9 +140,9 @@ fn legs_json(legs: Option<HybridLegs>) -> String {
     )
 }
 
-/// Wall-clock, interaction count, hybrid switch points and per-leg
-/// accounting of one run to convergence.
-type TimedRun = (f64, u64, Vec<u64>, Option<HybridLegs>);
+/// Wall-clock, interaction count, hybrid switch points, per-leg accounting
+/// and wrong-output flag of one run to convergence.
+type TimedRun = (f64, u64, Vec<u64>, Option<HybridLegs>, bool);
 
 fn time_engine(
     workload: Workload,
@@ -156,6 +165,7 @@ fn time_engine(
                 t,
                 sim.switch_points(),
                 sim.hybrid_legs(),
+                false,
             )
         }
         Workload::Approximate => {
@@ -174,8 +184,8 @@ fn time_engine(
                 )
                 .expect_converged("dense approximate");
             let (floor, ceil) = valid_estimates(n);
-            if !matches!(sim.output_stats().unanimous(), Some(&Some(k)) if k == floor || k == ceil)
-            {
+            let wrong = !matches!(sim.output_stats().unanimous(), Some(&Some(k)) if k == floor || k == ceil);
+            if wrong {
                 eprintln!(
                     "note: run at n = {n} (seed {seed}) reached unanimity on an \
                      out-of-range estimate"
@@ -186,6 +196,7 @@ fn time_engine(
                 t,
                 sim.switch_points(),
                 sim.hybrid_legs(),
+                wrong,
             )
         }
         Workload::CountExact => {
@@ -204,9 +215,11 @@ fn time_engine(
             )
             .expect("engine construction must succeed");
             assert!(outcome.converged, "staged dense count-exact must converge");
-            if outcome.output != Some(n as u64) {
-                eprintln!("note: run at n = {n} (seed {seed}) counted a wrong total");
-            }
+            assert_eq!(
+                outcome.output,
+                Some(n as u64),
+                "run at n = {n} (seed {seed}) counted a wrong total"
+            );
             (
                 start.elapsed().as_secs_f64(),
                 outcome.interactions,
@@ -218,6 +231,7 @@ fn time_engine(
                     agent_seconds: outcome.agent_seconds,
                     stint_kind: outcome.stint_kind,
                 }),
+                false,
             )
         }
     }
@@ -236,9 +250,11 @@ fn measure(
     let mut inters = Vec::with_capacity(trials);
     let mut switch_points = Vec::new();
     let mut legs: Option<HybridLegs> = None;
+    let mut wrong_outputs = 0;
     for t in 0..trials {
-        let (s, i, switches, l) =
+        let (s, i, switches, l, wrong) =
             time_engine(workload, engine, n, derive_seed(0xBEEF, t as u64), stints);
+        wrong_outputs += usize::from(wrong);
         secs.push(s);
         inters.push(i as f64);
         switch_points = switches;
@@ -265,6 +281,7 @@ fn measure(
         interactions_per_second: mean_interactions / mean_seconds,
         switch_points,
         legs,
+        wrong_outputs,
     }
 }
 
@@ -410,7 +427,7 @@ fn main() {
             out,
             "    {{ \"n\": {}, {}, \"trials\": {}, \"mean_seconds\": {:.6}, \
              \"min_seconds\": {:.6}, \"mean_interactions\": {:.0}, \
-             \"interactions_per_second\": {:.0}{}{} }}{}",
+             \"interactions_per_second\": {:.0}, \"wrong_outputs\": {}{}{} }}{}",
             m.n,
             engine_json_fields(m.engine),
             m.trials,
@@ -418,6 +435,7 @@ fn main() {
             m.min_seconds,
             m.mean_interactions,
             m.interactions_per_second,
+            m.wrong_outputs,
             legs_json(m.legs),
             switches,
             comma

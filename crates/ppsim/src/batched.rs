@@ -62,7 +62,10 @@ use crate::convergence::RunOutcome;
 use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::rng::seeded_rng;
-use crate::sample::{multivariate_hypergeometric_sparse, CollisionSampler};
+use crate::sample::{
+    ln_factorial_table, multivariate_hypergeometric_sparse, multivariate_hypergeometric_sparse_in,
+    CollisionSampler, LnFactorials, Memo,
+};
 use crate::snapshot::{
     persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, SnapshotReader,
     ENGINE_BATCHED,
@@ -85,6 +88,13 @@ pub struct BatchedSimulator<P: DenseProtocol> {
     delta: DeltaTable,
     /// Cached batch-length sampler for this population size.
     collisions: CollisionSampler,
+    /// `ln k!` for `k ≤ n`, bitwise equal to
+    /// [`ln_factorial`](crate::sample::ln_factorial): every argument a block's
+    /// samplers take is at most `n`, so they read this slice instead of the
+    /// per-thread memo.  Built on the first block (not in `new`, whose cost
+    /// it would double at `n = 10⁴`) and only for `n ≤ LN_FACTORIAL_TABLE_MAX_N`;
+    /// empty otherwise.
+    lnf: Vec<f64>,
     /// Precomputed `ω` per state; `None` for dynamic (interned) protocols,
     /// whose outputs are evaluated lazily on occupied states.
     outputs: Option<Vec<P::Output>>,
@@ -98,6 +108,12 @@ pub struct BatchedSimulator<P: DenseProtocol> {
     init_pairs: Vec<(u32, u64)>,
     resp_pairs: Vec<(u32, u64)>,
 }
+
+/// Largest population for which a [`BatchedSimulator`] builds its `ln k!`
+/// table (8 MiB).  Above it a block is long enough (`Θ(√n)` interactions)
+/// that the per-thread memo's lookups no longer matter — and the sharded
+/// engine's shards at `n = 10⁹` stay table-free.
+const LN_FACTORIAL_TABLE_MAX_N: u64 = 1 << 20;
 
 /// Mutable views into a [`BatchedSimulator`]'s configuration, used by the
 /// sharded engine to resolve cross-shard interactions and rebalance agents
@@ -162,6 +178,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
             interactions: 0,
             delta,
             collisions: CollisionSampler::new(n as u64),
+            lnf: Vec::new(),
             outputs,
             occupied: Occupancy::new(q, q0),
             touched: TouchSet::new(q),
@@ -387,8 +404,23 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Execute one collision-free batch of at most `cap` interactions; returns
     /// the number of interactions executed (at least 1).
     fn run_batch(&mut self, cap: u64) -> u64 {
+        if self.n > LN_FACTORIAL_TABLE_MAX_N {
+            return self.run_block(cap, Memo);
+        }
+        if self.lnf.is_empty() {
+            self.lnf = ln_factorial_table(self.n);
+        }
+        let lnf = std::mem::take(&mut self.lnf);
+        let executed = self.run_block(cap, lnf.as_slice());
+        self.lnf = lnf;
+        executed
+    }
+
+    /// [`Self::run_batch`] with the block's samplers reading `ln k!` from
+    /// `lnf`.
+    fn run_block(&mut self, cap: u64, lnf: impl LnFactorials) -> u64 {
         debug_assert!(cap >= 1);
-        let draw = self.collisions.sample(&mut self.rng, cap);
+        let draw = self.collisions.sample_in(&mut self.rng, cap, lnf);
         let clean = draw.clean;
         debug_assert!(clean >= 1);
 
@@ -397,24 +429,26 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         // the roles of a uniform without-replacement agent sample.
         let mut init_pairs = std::mem::take(&mut self.init_pairs);
         let mut resp_pairs = std::mem::take(&mut self.resp_pairs);
-        multivariate_hypergeometric_sparse(
+        multivariate_hypergeometric_sparse_in(
             &mut self.rng,
             &self.counts,
             self.occupied.as_slice(),
             self.n,
             clean,
             &mut init_pairs,
+            lnf,
         );
         for &(s, k) in &init_pairs {
             self.counts[s as usize] -= k;
         }
-        multivariate_hypergeometric_sparse(
+        multivariate_hypergeometric_sparse_in(
             &mut self.rng,
             &self.counts,
             self.occupied.as_slice(),
             self.n - clean,
             clean,
             &mut resp_pairs,
+            lnf,
         );
         for &(s, k) in &resp_pairs {
             self.counts[s as usize] -= k;
@@ -430,6 +464,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
             &init_pairs,
             &mut resp_pairs,
             clean,
+            lnf,
             |i, j, k| {
                 let (a, b) = delta.eval(protocol, i, j);
                 touched.add(a, k);
@@ -618,9 +653,9 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
 
     /// Restore a core written by [`Self::save_core`].  Everything derivable
     /// is rebuilt rather than read: the collision sampler is a pure function
-    /// of `n` (validated unchanged), and the δ-table is reconstructed so a
-    /// dynamic protocol's pair memo cannot carry state indices from another
-    /// process's index assignment.
+    /// of `n` (validated unchanged) and so is the `ln k!` table, and the
+    /// δ-table is reconstructed so a dynamic protocol's δ cache cannot carry
+    /// state indices from another process's index assignment.
     pub(crate) fn restore_core(
         &mut self,
         r: &mut SnapshotReader<'_>,

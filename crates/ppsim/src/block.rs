@@ -5,7 +5,9 @@
 //! counts-vector configuration by blocks of interactions on pairwise-distinct
 //! agents.  The pieces they share live here:
 //!
-//! * [`DeltaTable`] — the validated, optionally precomputed transition table;
+//! * [`DeltaTable`] — the validated transition function: a precomputed
+//!   `q × q` table for small static protocols, a fixed 1 MiB direct-mapped
+//!   cache for dynamic (interned) ones;
 //! * [`Occupancy`] — the duplicate-free list of possibly-occupied states that
 //!   keeps every per-block loop `O(q_occupied)` instead of `O(q)`;
 //! * [`TouchSet`] — a flat per-state accumulator for the agents a block has
@@ -14,74 +16,61 @@
 //!   multiset and the random-contingency-table pairing of initiator classes
 //!   with responder classes.
 //!
-//! The application path is deliberately branch-light: transitions write into
-//! the flat `TouchSet` accumulator indexed by state, and the occupied /
-//! touched index lists confine all scans to live states, so the `O(q²)` class
-//! pairing compiles to tight index arithmetic over contiguous buffers.
+//! A block at population `n` runs only `Θ(√n)` interactions (≈ 62 at
+//! `n = 10⁴`), so fixed per-block lookup costs weigh as much as the
+//! arithmetic.  The batched engine's block path therefore does no hashing
+//! and no thread-local access: δ comes from the table or the direct-mapped
+//! cache, and every `ln k!` its samplers need comes from the engine-owned
+//! table passed as `lnf` (see [`ln_factorial`](crate::sample::ln_factorial);
+//! populations too large for a table, and the sharded engine's cross-shard
+//! pairing, pass the per-thread memo instead).  Neither changes a single RNG
+//! draw — the cache returns exactly what `transition` returns, the table
+//! exactly what `ln_factorial` returns — so trajectories do not depend on
+//! either.  Transitions write into the flat `TouchSet` accumulator indexed
+//! by state, and the occupied / touched index lists confine all scans to
+//! live states, so the `O(q²)` class pairing compiles to tight index
+//! arithmetic over contiguous buffers.
 
 use std::cell::RefCell;
-// Keyed memo lookups only, with a deterministic hasher; iteration
-// order never feeds a simulation decision. ppcheck: allow(hashmap-iter)
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::dense::DenseProtocol;
 use crate::error::SimError;
-use crate::sample::conditional_class_draw;
+use crate::sample::{conditional_class_draw_in, LnFactorials};
 
 /// Precompute the `q × q` transition table only while it stays comfortably in
 /// cache; beyond this, transitions are evaluated on the fly for the occupied
 /// state pairs only.
 pub(crate) const TABLE_MAX_STATES: usize = 256;
 
-/// A minimal multiplicative hasher for the `δ`-memo's `u64` pair keys
-/// (`initiator << 32 | responder`): a single `wrapping_mul` mixes the bits far
-/// faster than SipHash, and the memo is engine-private so no untrusted keys
-/// reach it.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PairKeyHasher(u64);
+/// Slots of the dynamic-protocol δ cache: 2¹⁶ slots of 16 bytes, 1 MiB.
+const DELTA_CACHE_SLOTS: usize = 1 << 16;
 
-impl Hasher for PairKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u64(&mut self, i: u64) {
-        // Fibonacci-style multiplicative mix; the odd constant is 2⁶⁴/φ.
-        self.0 = (self.0 ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type PairMemo = HashMap<u64, (u32, u32), BuildHasherDefault<PairKeyHasher>>;
-
-/// Entry cap for the δ-pair memo.  Hits come from the small *currently
-/// occupied* pair set (a few thousand entries); protocols whose state churn
-/// mints fresh pairs indefinitely (e.g. a wide balancing transient) would
-/// otherwise grow the map without bound.  Clearing on overflow keeps memory
-/// bounded (~tens of MB) and the hot working set repopulates within a block.
-const DELTA_MEMO_MAX_ENTRIES: usize = 1 << 20;
+/// One δ cache slot, `(key + 1, a, b)` for `δ(i, j) = (a, b)` with
+/// `key = i << 32 | j`; a zero first field marks an empty slot.
+type DeltaSlot = (u64, u32, u32);
 
 /// The transition function `δ` of a dense protocol, validated once and — for
 /// table-sized state spaces — precomputed into a flat `q × q` lookup table.
 ///
-/// Dynamic (interned) protocols get a lazily filled per-pair memo instead:
+/// Dynamic (interned) protocols get a fixed direct-mapped cache instead:
 /// their `transition` walks decode → interact → re-encode through the state
 /// interner, which costs hundreds of nanoseconds, while the occupied-pair
-/// working set repeats heavily across consecutive blocks.  The memo is sound
-/// because `δ` is pure and interned indices are stable for the lifetime of a
-/// run.
+/// working set repeats heavily across consecutive blocks.  The cache has
+/// 2¹⁶ slots (1 MiB), allocated on the first evaluation, so its hot slots
+/// stay in the CPU caches however many distinct pairs a run mints; a pair
+/// whose slot another pair took is simply evaluated again, and overwrites
+/// it.  The cache is sound because `δ` is pure and interned indices are
+/// stable for the lifetime of a run: a repeated evaluation interns nothing
+/// new, so hits and misses yield the same trajectory.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaTable {
     q: usize,
     table: Option<Vec<(u32, u32)>>,
-    memo: Option<RefCell<PairMemo>>,
+    /// `Some` for dynamic protocols; empty until the first evaluation.
+    cache: Option<RefCell<Vec<DeltaSlot>>>,
 }
 
 impl DeltaTable {
@@ -127,10 +116,8 @@ impl DeltaTable {
         } else {
             None
         };
-        let memo = protocol
-            .dynamic()
-            .then(|| RefCell::new(PairMemo::default()));
-        Ok(DeltaTable { q, table, memo })
+        let cache = protocol.dynamic().then(|| RefCell::new(Vec::new()));
+        Ok(DeltaTable { q, table, cache })
     }
 
     /// The number of states `q` the table was validated against.
@@ -138,8 +125,8 @@ impl DeltaTable {
         self.q
     }
 
-    /// `δ(i, j)`, via the precomputed table or the dynamic-protocol memo when
-    /// available.
+    /// `δ(i, j)`, via the precomputed table or the dynamic-protocol cache
+    /// when available.
     #[inline]
     pub(crate) fn eval<P: DenseProtocol>(
         &self,
@@ -151,24 +138,27 @@ impl DeltaTable {
             let (a, b) = t[i * self.q + j];
             return (a as usize, b as usize);
         }
-        if let Some(memo) = &self.memo {
-            let key = (i as u64) << 32 | j as u64;
-            let mut memo = memo.borrow_mut();
-            if let Some(&(a, b)) = memo.get(&key) {
-                return (a as usize, b as usize);
-            }
-            let (a, b) = protocol.transition(i, j);
-            assert!(
-                a < self.q && b < self.q,
-                "δ({i}, {j}) = ({a}, {b}) leaves the state space 0..{}",
-                self.q
-            );
-            if memo.len() >= DELTA_MEMO_MAX_ENTRIES {
-                memo.clear();
-            }
-            memo.insert(key, (a as u32, b as u32));
-            return (a, b);
+        let Some(cache) = &self.cache else {
+            return self.transition(protocol, i, j);
+        };
+        let key = ((i as u64) << 32 | j as u64) + 1;
+        // Fibonacci hashing: the top 16 bits of key·2⁶⁴/φ pick the slot.
+        let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize;
+        let mut cache = cache.borrow_mut();
+        if cache.is_empty() {
+            cache.resize(DELTA_CACHE_SLOTS, (0, 0, 0));
         }
+        let (k, a, b) = cache[slot];
+        if k == key {
+            return (a as usize, b as usize);
+        }
+        let (a, b) = self.transition(protocol, i, j);
+        cache[slot] = (key, a as u32, b as u32);
+        (a, b)
+    }
+
+    /// `δ(i, j)` straight from the protocol, range-checked.
+    fn transition<P: DenseProtocol>(&self, protocol: &P, i: usize, j: usize) -> (usize, usize) {
         let (a, b) = protocol.transition(i, j);
         assert!(
             a < self.q && b < self.q,
@@ -366,12 +356,14 @@ pub(crate) fn draw_one(rng: &mut SmallRng, counts: &mut [u64], list: &[u32], tot
 /// `resp_pairs` holds `total_responders = Σ init multiplicities` responders
 /// and is consumed (multiplicities drained to zero).  The scan start advances
 /// past exhausted leading responder classes, so the loop cost is `O(q_occ²)`
-/// worst case but `O(q_occ)` amortised once early classes drain.
+/// worst case but `O(q_occ)` amortised once early classes drain.  `lnf` is
+/// where the conditional draws read `ln k!` from.
 pub(crate) fn pair_classes(
     rng: &mut SmallRng,
     init_pairs: &[(u32, u64)],
     resp_pairs: &mut [(u32, u64)],
     total_responders: u64,
+    lnf: impl LnFactorials,
     mut apply: impl FnMut(usize, usize, u64),
 ) {
     let mut resp_left = total_responders;
@@ -392,7 +384,7 @@ pub(crate) fn pair_classes(
             if rj == 0 {
                 continue;
             }
-            let k = conditional_class_draw(rng, rj, rem_total, need);
+            let k = conditional_class_draw_in(rng, rj, rem_total, need, lnf);
             rem_total -= rj;
             if k > 0 {
                 pair.1 -= k;
@@ -409,6 +401,7 @@ pub(crate) fn pair_classes(
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+    use crate::sample::Memo;
 
     #[test]
     fn occupancy_marks_compacts_and_rebuilds() {
@@ -466,7 +459,7 @@ mod tests {
             let mut resp = vec![(1u32, 4u64), (3, 4)];
             let mut row = [0u64; 4];
             let mut col = [0u64; 4];
-            pair_classes(&mut rng, &init, &mut resp, 8, |i, j, k| {
+            pair_classes(&mut rng, &init, &mut resp, 8, Memo, |i, j, k| {
                 row[i] += k;
                 col[j] += k;
             });
@@ -487,7 +480,7 @@ mod tests {
             let init = vec![(0u32, 2u64), (1, 2)];
             let mut resp = vec![(0u32, 2u64), (1, 2)];
             let mut cell = 0u64;
-            pair_classes(&mut rng, &init, &mut resp, 4, |i, j, k| {
+            pair_classes(&mut rng, &init, &mut resp, 4, Memo, |i, j, k| {
                 if i == 0 && j == 0 {
                     cell += k;
                 }
@@ -523,5 +516,70 @@ mod tests {
         let delta = DeltaTable::new(&Swap).unwrap();
         assert_eq!(delta.num_states(), 3);
         assert_eq!(delta.eval(&Swap, 1, 2), (2, 1));
+    }
+
+    #[test]
+    fn delta_cache_is_transparent_under_slot_conflicts() {
+        use std::cell::Cell;
+
+        /// A dynamic protocol over 400 states — 160 000 ordered pairs, well
+        /// over the cache's 2¹⁶ slots — counting its δ evaluations.
+        struct Mix {
+            calls: Cell<u64>,
+        }
+        impl DenseProtocol for Mix {
+            type Output = usize;
+            fn num_states(&self) -> usize {
+                400
+            }
+            fn initial_state(&self) -> usize {
+                0
+            }
+            fn transition(&self, u: usize, v: usize) -> (usize, usize) {
+                self.calls.set(self.calls.get() + 1);
+                ((u * 7 + v) % 400, (u + v * 13 + 1) % 400)
+            }
+            fn output(&self, s: usize) -> usize {
+                s
+            }
+            fn dynamic(&self) -> bool {
+                true
+            }
+        }
+        let mix = Mix {
+            calls: Cell::new(0),
+        };
+        let expect = |u: usize, v: usize| ((u * 7 + v) % 400, (u + v * 13 + 1) % 400);
+        let delta = DeltaTable::new(&mix).unwrap();
+        let cache = delta.cache.as_ref().unwrap();
+        assert_eq!(
+            cache.borrow().capacity(),
+            0,
+            "no cache before the first eval"
+        );
+
+        // A hot pair is evaluated once, then served from its slot.
+        assert_eq!(delta.eval(&mix, 3, 5), expect(3, 5));
+        assert_eq!(cache.borrow().len(), DELTA_CACHE_SLOTS);
+        for _ in 0..10 {
+            assert_eq!(delta.eval(&mix, 3, 5), expect(3, 5));
+        }
+        assert_eq!(mix.calls.get(), 1);
+
+        // Two sweeps over every pair force conflicts and evictions; every
+        // value still equals δ, and the second sweep re-evaluates the
+        // evicted pairs only.
+        for sweep in 0..2 {
+            for u in 0..400 {
+                for v in 0..400 {
+                    assert_eq!(delta.eval(&mix, u, v), expect(u, v), "sweep {sweep}");
+                }
+            }
+        }
+        let calls = mix.calls.get();
+        assert!(
+            calls > 160_000 + 1 && calls < 2 * 160_000,
+            "{calls} δ evaluations for two sweeps over 160 000 pairs"
+        );
     }
 }

@@ -65,16 +65,36 @@ thread_local! {
         const { std::cell::RefCell::new([(0, 0.0); LN_FACT_MEMO_SLOTS]) };
 }
 
+/// `ln(n!)` for `n ≥ 128` by the Stirling series: error < 1/(1680 n⁷), far
+/// below f64 noise at these arguments.
+#[inline]
+fn stirling_ln_factorial(n: u64) -> f64 {
+    let nf = n as f64;
+    let inv = 1.0 / nf;
+    let inv2 = inv * inv;
+    (nf + 0.5) * nf.ln() - nf
+        + 0.5 * (2.0 * std::f64::consts::PI).ln()
+        + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+}
+
 /// `ln(n!)`, accurate to ~1e-12 relative error.
 ///
-/// Hot enough to matter: every hypergeometric mode/pmf computation costs ~9
-/// evaluations and the batched engine performs several draws per
-/// collision-free block.  Small arguments come from a summation table; large
-/// ones from a Stirling series behind a per-thread direct-mapped memo — the
-/// arguments of a block's draws repeat heavily (`ln C(total, draws)` terms
-/// where the totals shrink by the class counts as the multivariate
-/// decomposition walks the occupied states, and the first draw of every block
-/// starts from the same population size), so most lookups hit.
+/// Arguments below 128 come from an exact summation table, larger ones from
+/// a Stirling series.  Every hypergeometric mode/pmf computation costs ~9
+/// evaluations, so the value is cached on two levels:
+///
+/// * up to `n = 2²⁰` agents the batched engine's collision-free blocks never
+///   call this function: [`BatchedSimulator`](crate::BatchedSimulator) owns
+///   the full table `ln 0!, …, ln n!` for its population (see
+///   `ln_factorial_table`), built on its first block, and its samplers read
+///   that slice directly;
+/// * every other caller — the public samplers in this module, the sharded
+///   engine's cross-shard and rebalancing draws, populations too large for
+///   an engine table — goes through a per-thread direct-mapped memo of the
+///   Stirling values (1024 slots, 16 KiB per thread).
+///
+/// Both levels hold exactly the value computed here, bit for bit, so which
+/// one serves a draw never changes the draw.
 #[must_use]
 pub fn ln_factorial(n: u64) -> f64 {
     let table = small_ln_factorials();
@@ -88,23 +108,70 @@ pub fn ln_factorial(n: u64) -> f64 {
         if key == n {
             return value;
         }
-        // Stirling series: error < 1/(1680 n⁷), far below f64 noise for n ≥ 128.
-        let nf = n as f64;
-        let inv = 1.0 / nf;
-        let inv2 = inv * inv;
-        let value = (nf + 0.5) * nf.ln() - nf
-            + 0.5 * (2.0 * std::f64::consts::PI).ln()
-            + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0));
+        let value = stirling_ln_factorial(n);
         memo[slot] = (n, value);
         value
     })
 }
 
+/// `[ln 0!, ln 1!, …, ln n!]`, each entry bitwise equal to
+/// [`ln_factorial`] of its index: the summation table below 128 and the
+/// same Stirling expression above it.  This is the batched engine's own
+/// table; the `…_in` samplers below read it without any thread-local access.
+pub(crate) fn ln_factorial_table(n: u64) -> Vec<f64> {
+    let small = small_ln_factorials();
+    (0..=n)
+        .map(|k| match small.get(k as usize) {
+            Some(&v) => v,
+            None => stirling_ln_factorial(k),
+        })
+        .collect()
+}
+
+/// Where the `…_in` samplers read `ln k!` from: the per-thread memo
+/// ([`Memo`]) or an engine-owned [`ln_factorial_table`] (`&[f64]`, falling
+/// back to the memo beyond its end).  Both give the bits of
+/// [`ln_factorial`], so the source never changes a draw.  The samplers are
+/// generic over it rather than taking an `Option`, so the memo path — the
+/// public samplers, the sharded engine — compiles to the same code as a
+/// direct [`ln_factorial`] call, with no per-lookup branch.
+pub(crate) trait LnFactorials: Copy {
+    /// `ln(k!)`.
+    fn ln_fact(self, k: u64) -> f64;
+}
+
+/// The per-thread memo behind [`ln_factorial`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Memo;
+
+impl LnFactorials for Memo {
+    #[inline(always)]
+    fn ln_fact(self, k: u64) -> f64 {
+        ln_factorial(k)
+    }
+}
+
+impl LnFactorials for &[f64] {
+    #[inline(always)]
+    fn ln_fact(self, k: u64) -> f64 {
+        match self.get(k as usize) {
+            Some(&v) => v,
+            None => ln_factorial(k),
+        }
+    }
+}
+
 /// `ln C(n, k)` (natural log of the binomial coefficient).
 #[must_use]
 fn ln_choose(n: u64, k: u64) -> f64 {
+    ln_choose_in(Memo, n, k)
+}
+
+/// [`ln_choose`] reading `ln k!` from `lnf`.
+#[inline]
+fn ln_choose_in(lnf: impl LnFactorials, n: u64, k: u64) -> f64 {
     debug_assert!(k <= n);
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+    lnf.ln_fact(n) - lnf.ln_fact(k) - lnf.ln_fact(n - k)
 }
 
 /// Standard deviation below which the inverse-transform walk beats the
@@ -228,8 +295,15 @@ fn geometric_jump(rng: &mut SmallRng, ln_r: f64) -> u64 {
 
 /// `ln P(X = k)` of the hypergeometric distribution.
 #[inline]
-fn ln_pmf_hypergeometric(total: u64, success: u64, draws: u64, k: u64) -> f64 {
-    ln_choose(success, k) + ln_choose(total - success, draws - k) - ln_choose(total, draws)
+fn ln_pmf_hypergeometric(
+    lnf: impl LnFactorials,
+    total: u64,
+    success: u64,
+    draws: u64,
+    k: u64,
+) -> f64 {
+    ln_choose_in(lnf, success, k) + ln_choose_in(lnf, total - success, draws - k)
+        - ln_choose_in(lnf, total, draws)
 }
 
 /// Draw from the hypergeometric distribution: the number of *successes* in
@@ -267,6 +341,18 @@ fn ln_pmf_hypergeometric(total: u64, success: u64, draws: u64, k: u64) -> f64 {
 /// more agents than the population holds.
 #[must_use]
 pub fn hypergeometric(rng: &mut SmallRng, total: u64, success: u64, draws: u64) -> u64 {
+    hypergeometric_in(rng, total, success, draws, Memo)
+}
+
+/// [`hypergeometric`] reading `ln k!` from `lnf`: the same draw, bit for
+/// bit, for the same RNG state.
+pub(crate) fn hypergeometric_in(
+    rng: &mut SmallRng,
+    total: u64,
+    success: u64,
+    draws: u64,
+    lnf: impl LnFactorials,
+) -> u64 {
     assert!(
         draws <= total,
         "cannot draw {draws} items without replacement from a population of {total}"
@@ -310,15 +396,15 @@ pub fn hypergeometric(rng: &mut SmallRng, total: u64, success: u64, draws: u64) 
             .sqrt();
         if sigma > REJECTION_SIGMA {
             if let Some(k) = log_concave_reject(rng, lo, hi, mode, sigma, |k| {
-                ln_pmf_hypergeometric(total, success, draws, k)
+                ln_pmf_hypergeometric(lnf, total, success, draws, k)
             }) {
                 return k;
             }
         }
     }
 
-    let ln_p_mode =
-        ln_choose(success, mode) + ln_choose(failure, draws - mode) - ln_choose(total, draws);
+    let ln_p_mode = ln_choose_in(lnf, success, mode) + ln_choose_in(lnf, failure, draws - mode)
+        - ln_choose_in(lnf, total, draws);
     let p_mode = ln_p_mode.exp();
 
     // p(k+1)/p(k) = (success-k)(draws-k) / ((k+1)(failure-draws+k+1)).
@@ -550,10 +636,22 @@ pub(crate) fn conditional_class_draw(
     remaining_total: u64,
     remaining_draws: u64,
 ) -> u64 {
+    conditional_class_draw_in(rng, class_count, remaining_total, remaining_draws, Memo)
+}
+
+/// [`conditional_class_draw`] reading `ln k!` from `lnf`.
+#[inline]
+pub(crate) fn conditional_class_draw_in(
+    rng: &mut SmallRng,
+    class_count: u64,
+    remaining_total: u64,
+    remaining_draws: u64,
+    lnf: impl LnFactorials,
+) -> u64 {
     if class_count == remaining_total {
         remaining_draws
     } else {
-        hypergeometric(rng, remaining_total, class_count, remaining_draws)
+        hypergeometric_in(rng, remaining_total, class_count, remaining_draws, lnf)
     }
 }
 
@@ -573,6 +671,20 @@ pub fn multivariate_hypergeometric_sparse(
     draws: u64,
     out: &mut Vec<(u32, u64)>,
 ) {
+    multivariate_hypergeometric_sparse_in(rng, counts, occupied, total, draws, out, Memo);
+}
+
+/// [`multivariate_hypergeometric_sparse`] reading `ln k!` from `lnf`: the
+/// batched engine's two per-block draws.
+pub(crate) fn multivariate_hypergeometric_sparse_in(
+    rng: &mut SmallRng,
+    counts: &[u64],
+    occupied: &[u32],
+    total: u64,
+    draws: u64,
+    out: &mut Vec<(u32, u64)>,
+    lnf: impl LnFactorials,
+) {
     debug_assert!(draws <= total);
     out.clear();
     let mut remaining_total = total;
@@ -585,7 +697,7 @@ pub fn multivariate_hypergeometric_sparse(
         if c == 0 {
             continue;
         }
-        let k = conditional_class_draw(rng, c, remaining_total, remaining_draws);
+        let k = conditional_class_draw_in(rng, c, remaining_total, remaining_draws, lnf);
         if k > 0 {
             out.push((s, k));
         }
@@ -665,7 +777,9 @@ impl CollisionSampler {
     /// per ~10⁸ blocks: invisible in short runs, certain in the multi-billion
     /// interaction counting experiments).  The sum form makes `ln Q(1) = 0`
     /// exact and the whole small-`t` region accurate to full precision.
-    fn ln_no_collision(&self, t: u64) -> f64 {
+    ///
+    /// `lnf` is where `ln k!` is read from.
+    fn ln_no_collision(&self, t: u64, lnf: impl LnFactorials) -> f64 {
         debug_assert!(2 * t <= self.n);
         if t <= 32 {
             let nf = self.n as f64;
@@ -676,7 +790,7 @@ impl CollisionSampler {
             }
             return acc;
         }
-        self.ln_fact_n - ln_factorial(self.n - 2 * t) - t as f64 * self.ln_pair
+        self.ln_fact_n - lnf.ln_fact(self.n - 2 * t) - t as f64 * self.ln_pair
     }
 
     /// Sample how many interactions the next collision-free batch contains.
@@ -696,6 +810,16 @@ impl CollisionSampler {
     ///
     /// Panics if `cap == 0`.
     pub fn sample(&self, rng: &mut SmallRng, cap: u64) -> BatchDraw {
+        self.sample_in(rng, cap, Memo)
+    }
+
+    /// [`Self::sample`] reading `ln k!` from `lnf`.
+    pub(crate) fn sample_in(
+        &self,
+        rng: &mut SmallRng,
+        cap: u64,
+        lnf: impl LnFactorials,
+    ) -> BatchDraw {
         assert!(cap > 0, "an empty batch is meaningless");
 
         // Invert the survival function: T = min { t : Q(t) < u } is the index
@@ -711,10 +835,10 @@ impl CollisionSampler {
         let nf = self.n as f64;
         let guess = ((1.0 + (1.0 - 8.0 * nf * ln_u).sqrt()) / 4.0) as u64;
         let mut t = guess.min(self.t_max);
-        while self.ln_no_collision(t) < ln_u {
+        while self.ln_no_collision(t, lnf) < ln_u {
             t -= 1; // terminates: ln Q(0) = 0 >= ln_u
         }
-        while t < self.t_max && self.ln_no_collision(t + 1) >= ln_u {
+        while t < self.t_max && self.ln_no_collision(t + 1, lnf) >= ln_u {
             t += 1;
         }
         let first_collision_at = t + 1; // interaction index of the collision
@@ -789,6 +913,106 @@ mod tests {
         for n in 2..50u64 {
             direct += (n as f64).ln();
             assert!((ln_factorial(n) - direct).abs() < 1e-9, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn ln_factorial_table_is_bitwise_ln_factorial() {
+        let table = ln_factorial_table(5000);
+        assert_eq!(table.len(), 5001);
+        for (k, v) in table.iter().enumerate() {
+            assert_eq!(v.to_bits(), ln_factorial(k as u64).to_bits(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn table_backed_samplers_draw_exactly_what_the_public_ones_draw() {
+        // Same seed, same draws: the engine's ln k! table may serve any
+        // lookup without moving a single draw.  The grid crosses the
+        // 127/128 summation-to-Stirling boundary (small totals), the
+        // σ = REJECTION_SIGMA inverse-transform/rejection crossover, and
+        // totals both inside and beyond the table's range.
+        let small = ln_factorial_table(130);
+        let large = ln_factorial_table(150_000);
+        let mut grid: Vec<(&[f64], u64, u64, u64)> = Vec::new();
+        for total in [60u64, 120, 127, 128, 129, 131, 200, 260] {
+            for success in [1, total / 3, total / 2, total - 1] {
+                for draws in [1, total / 4, total / 2, total - 2] {
+                    grid.push((&small, total, success, draws));
+                }
+            }
+        }
+        let (mut narrow, mut wide) = (false, false);
+        for total in [140_000u64, 200_000] {
+            for draws in [30_000u64, 40_000, 44_000, 46_000, 50_000, 70_000] {
+                let success = total / 2;
+                let tf = total as f64;
+                let sigma = (draws as f64 * 0.25 * ((total - draws) as f64 / (tf - 1.0))).sqrt();
+                narrow |= sigma < REJECTION_SIGMA;
+                wide |= sigma > REJECTION_SIGMA;
+                grid.push((&large, total, success, draws));
+            }
+        }
+        assert!(
+            narrow && wide,
+            "the grid must straddle σ = {REJECTION_SIGMA}"
+        );
+        for (i, &(table, total, success, draws)) in grid.iter().enumerate() {
+            let mut a = seeded_rng(1000 + i as u64);
+            let mut b = seeded_rng(1000 + i as u64);
+            for _ in 0..50 {
+                assert_eq!(
+                    hypergeometric(&mut a, total, success, draws),
+                    hypergeometric_in(&mut b, total, success, draws, table),
+                    "Hypergeometric({total}, {success}, {draws})"
+                );
+                assert_eq!(
+                    conditional_class_draw(&mut a, success, total, draws),
+                    conditional_class_draw_in(&mut b, success, total, draws, table),
+                );
+            }
+        }
+
+        // The multivariate draw, over a table that covers the population
+        // and one that covers only part of the shrinking totals.
+        let counts: Vec<u64> = (0..40u64).map(|s| (s * 37) % 11 + 1).collect();
+        let occupied: Vec<u32> = (0..40u32).rev().collect();
+        let total: u64 = counts.iter().sum();
+        for table in [ln_factorial_table(total), ln_factorial_table(total / 2)] {
+            let mut a = seeded_rng(77);
+            let mut b = seeded_rng(77);
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            for draws in [1, 5, total / 3, total - 1, total] {
+                multivariate_hypergeometric_sparse(
+                    &mut a, &counts, &occupied, total, draws, &mut out_a,
+                );
+                multivariate_hypergeometric_sparse_in(
+                    &mut b,
+                    &counts,
+                    &occupied,
+                    total,
+                    draws,
+                    &mut out_b,
+                    table.as_slice(),
+                );
+                assert_eq!(out_a, out_b, "draws = {draws}");
+            }
+        }
+
+        // The block-length draw, whose factorial form takes over beyond
+        // t = 32 clean interactions.
+        for n in [2_000u64, 10_000] {
+            let sampler = CollisionSampler::new(n);
+            for table in [ln_factorial_table(n), ln_factorial_table(n / 2)] {
+                let mut a = seeded_rng(n);
+                let mut b = seeded_rng(n);
+                for cap in [1u64, 40, u64::MAX].into_iter().cycle().take(3000) {
+                    assert_eq!(
+                        sampler.sample(&mut a, cap),
+                        sampler.sample_in(&mut b, cap, table.as_slice())
+                    );
+                }
+            }
         }
     }
 
@@ -929,9 +1153,9 @@ mod tests {
         // n = 10⁶).
         for &n in &[2u64, 3, 1000, 1_000_000, 1_000_000_000] {
             let s = CollisionSampler::new(n);
-            assert_eq!(s.ln_no_collision(0), 0.0, "ln Q(0) at n = {n}");
+            assert_eq!(s.ln_no_collision(0, Memo), 0.0, "ln Q(0) at n = {n}");
             if n >= 2 {
-                assert_eq!(s.ln_no_collision(1), 0.0, "ln Q(1) at n = {n}");
+                assert_eq!(s.ln_no_collision(1, Memo), 0.0, "ln Q(1) at n = {n}");
             }
             // Small prefixes match the exact product to full precision.
             let nf = n as f64;
@@ -939,7 +1163,7 @@ mod tests {
             for t in 2..=(n / 2).min(8) {
                 let j = 2 * (t - 1);
                 exact += (1.0 - j as f64 / nf).ln() + (1.0 - j as f64 / (nf - 1.0)).ln();
-                let got = s.ln_no_collision(t);
+                let got = s.ln_no_collision(t, Memo);
                 // The reference product uses plain ln(1 − x), itself good to
                 // ~1e-11 relative at these magnitudes.
                 assert!(
@@ -966,7 +1190,7 @@ mod tests {
                     }
                     acc
                 };
-                let got = s.ln_no_collision(t);
+                let got = s.ln_no_collision(t, Memo);
                 assert!(
                     (got - sum_form).abs() < 1e-6,
                     "forms disagree at n = {n}, t = {t}: {got:e} vs {sum_form:e}"
@@ -1038,7 +1262,8 @@ mod tests {
         let lo = (mean - 5.0 * sigma) as u64;
         let hi = (mean + 5.0 * sigma) as u64;
         for k in lo..=hi {
-            let expected = ln_pmf_hypergeometric(total, success, draws, k).exp() * trials as f64;
+            let expected =
+                ln_pmf_hypergeometric(Memo, total, success, draws, k).exp() * trials as f64;
             let got = f64::from(counts[k as usize]);
             let noise = expected.max(1.0).sqrt();
             assert!(

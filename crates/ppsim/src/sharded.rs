@@ -109,7 +109,9 @@ use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::parallel::run_chunked;
 use crate::rng::{derive_seed, seeded_rng};
-use crate::sample::{conditional_class_draw, multinomial, multivariate_hypergeometric_sparse};
+use crate::sample::{
+    conditional_class_draw, multinomial, multivariate_hypergeometric_sparse, Memo,
+};
 use crate::snapshot::{
     persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, ENGINE_SHARDED,
 };
@@ -618,6 +620,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
                 &self.init_pairs,
                 &mut self.resp_pairs,
                 chunk,
+                Memo,
                 |i, j, mult| {
                     let (a, b) = delta.eval(protocol, i, j);
                     touched_k.add(a, mult);
