@@ -80,9 +80,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use popcount::{
-    count_exact_dense_staged_checkpointed, CountExactParams, StagedCheckpoint, StintMode,
-};
+use popcount::{count_exact_dense_staged_checkpointed, CountExactParams, StagedCheckpoint};
 use ppanalysis::experiments::{configure_checkpoints, run_all, run_one, CheckpointPlan, Effort};
 use ppproto::scenarios::{standard_matrix, MatrixConfig};
 use ppproto::DenseEpidemic;
@@ -153,7 +151,6 @@ fn staged_main(args: &[String], n: usize) -> ! {
         seed,
         engine,
         budget,
-        StintMode::Decoded,
         autosave.as_ref(),
         resume.as_deref(),
     )

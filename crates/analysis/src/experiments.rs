@@ -17,10 +17,10 @@ use std::sync::OnceLock;
 
 use popcount::{
     all_counted, all_estimated, all_estimates_valid, all_exact, all_output_n,
-    count_exact_dense_staged_checkpointed, count_exact_dense_staged_with, valid_estimates,
-    Approximate, ApproximateBackup, ApproximateParams, CountExact, CountExactParams,
-    DenseApproximate, DenseCountExact, ExactBackup, StableApproximate, StableCountExact,
-    StagedCheckpoint, StintMode, TokenMergingCounter,
+    count_exact_dense_staged, count_exact_dense_staged_checkpointed, valid_estimates, Approximate,
+    ApproximateBackup, ApproximateParams, CountExact, CountExactParams, DenseApproximate,
+    DenseCountExact, ExactBackup, StableApproximate, StableCountExact, StagedCheckpoint,
+    TokenMergingCounter,
 };
 use ppproto::fast_leader_election::FastLeaderElectionProtocol;
 use ppproto::junta::{all_inactive, junta_size, max_level, JuntaProtocol};
@@ -99,33 +99,20 @@ fn staged_trial_maybe_checkpointed(
     seed: u64,
     engine: Engine,
     budget: u64,
-    stints: StintMode,
 ) -> popcount::StagedCountOutcome {
     let Some(plan) = checkpoint_plan() else {
-        return count_exact_dense_staged_with(params, n, seed, engine, budget, stints).unwrap();
+        return count_exact_dense_staged(params, n, seed, engine, budget).unwrap();
     };
     let _ = std::fs::create_dir_all(&plan.dir);
-    let mode = match stints {
-        StintMode::Decoded => "",
-        StintMode::Interned => "-interned",
-    };
-    let path = plan.dir.join(format!("{tag}-n{n}-s{seed:x}{mode}.ppss"));
+    let path = plan.dir.join(format!("{tag}-n{n}-s{seed:x}.ppss"));
     let spec = StagedCheckpoint {
         path: path.clone(),
         every: plan.every,
     };
     let resume = path.exists().then_some(path.as_path());
-    let outcome = count_exact_dense_staged_checkpointed(
-        params,
-        n,
-        seed,
-        engine,
-        budget,
-        stints,
-        Some(&spec),
-        resume,
-    )
-    .unwrap();
+    let outcome =
+        count_exact_dense_staged_checkpointed(params, n, seed, engine, budget, Some(&spec), resume)
+            .unwrap();
     let _ = std::fs::remove_file(&path);
     outcome
 }
@@ -1243,10 +1230,9 @@ pub fn e19_dense_counting(effort: Effort) -> ExperimentReport {
     // through the refinement, automatic migration in between — Theorem 2's
     // Õ(n) states are real, and the refinement's Θ(n) live loads degenerate
     // any count-based representation (see `popcount::exact::staged`).  Note
-    // the `dense states` column now counts the *whole run's* interned census
-    // (the hybrid per-agent stint keeps interning; ≈ 7.5n at n = 10⁵) — the
-    // PR 3 numbers counted only the stage-1–2 window (~7·10⁴ at n = 10⁶)
-    // because the struct-based refinement never touched the interner.
+    // the `dense states` column counts the *whole run's* interned census:
+    // the dense legs plus every migration's boundary configuration (the
+    // decoded per-agent stint interns nothing in between).
     let run_count_exact = |engine: Engine, n: usize, master: u64, trials: usize| {
         sweep_serial_maybe_checkpointed("e19-countexact", &[n], trials, master, |n, seed| {
             let start = Instant::now();
@@ -1257,7 +1243,6 @@ pub fn e19_dense_counting(effort: Effort) -> ExperimentReport {
                 seed,
                 engine,
                 (n as u64).saturating_mul(300_000),
-                StintMode::Decoded,
             );
             TrialResult {
                 n,
@@ -1358,21 +1343,15 @@ pub fn e19_dense_counting(effort: Effort) -> ExperimentReport {
 /// migration, against the PR 3 policy of pinning the hand-off at the end of
 /// the approximation stage.
 ///
-/// Four configurations per `CountExact` size:
+/// Three configurations (two per `CountExact` size):
 ///
 /// * **hybrid (auto, decoded)** — `count_exact_dense_staged`: the occupancy
 ///   monitor detects the refinement transient by its `q_occ² > c·√n`
 ///   signature and migrates on its own; per-agent stints step **native
 ///   structs** through the protocol's agent-state codec (no interner traffic
-///   in the hot loop).
-/// * **hybrid (auto, interned)** — the same master seed with
-///   [`StintMode::Interned`]: per-agent stints step interned `u32` indices
-///   through `transition`, the PR 4 behaviour.  Dividing each row's agent
-///   interactions by its *agent-leg s* gives the measured decoded-vs-
-///   interned refinement-leg throughput (measured 2.1–2.2× at `n = 10⁵`);
-///   the *dense states* column shows the census collapse — the decoded
-///   stint interns only boundary configurations, not the `Θ(n)` transient
-///   (5.1·10⁴ vs 5.6·10⁵ at `n = 10⁵`).
+///   in the hot loop).  The *dense states* column shows the census the
+///   decoded stint leaves behind: it interns only boundary configurations,
+///   not the `Θ(n)` transient.
 /// * **hybrid (pinned @ ApxDone)** — the monitor's up-switch disabled and
 ///   the migration forced exactly where the PR 3 one-shot hand-off fired
 ///   (every occupied state `ApxDone`), so the two switch policies are
@@ -1400,8 +1379,7 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
     let approx_sizes = effort.sizes(&[10_000], &[100_000, 1_000_000]);
 
     let mut table = Table::new(
-        "E20 — hybrid engine (dense ↔ per-agent): switch points, interaction counts \
-         and the decoded-vs-interned stint comparison",
+        "E20 — hybrid engine (dense ↔ per-agent): switch points and interaction counts",
         &[
             "n",
             "workload",
@@ -1472,9 +1450,8 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
             rich.into_inner().unwrap().expect("one trial ran")
         };
 
-    // CountExact, automatic switch (the staged entry point), with the
-    // per-agent stepping mode as the decoded-vs-interned comparison lever.
-    let run_auto = |n: usize, master: u64, stints: StintMode| -> RichOutcome {
+    // CountExact, automatic switch (the staged entry point).
+    let run_auto = |n: usize, master: u64| -> RichOutcome {
         run_rich(n, master, &|n, seed| {
             let start = Instant::now();
             let o = staged_trial_maybe_checkpointed(
@@ -1484,7 +1461,6 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
                 seed,
                 Engine::Batched,
                 (n as u64).saturating_mul(300_000),
-                stints,
             );
             RichOutcome {
                 n,
@@ -1598,24 +1574,8 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
     };
 
     for (si, &n) in exact_sizes.iter().enumerate() {
-        // Decoded and interned stints run the *same* master seed: the runs
-        // are identical up to the first agent → dense tally (the codec
-        // bisimulates δ and the stint schedule is a pure function of the
-        // seed), after which they sample the same Markov process along
-        // different paths — the two modes assign interner indices in a
-        // different order at the tally, and the dense engine's randomness
-        // consumption follows index order.  The comparable quantity is the
-        // *per-interaction* agent-leg throughput (agent interactions ÷
-        // agent-leg seconds), which is what the decoded-stint acceptance
-        // criterion gates.
-        let decoded = run_auto(n, 0xE20 + 10 * si as u64, StintMode::Decoded);
+        let decoded = run_auto(n, 0xE20 + 10 * si as u64);
         push(&mut table, "CountExact @ hybrid (auto, decoded)", &decoded);
-        let interned = run_auto(n, 0xE20 + 10 * si as u64, StintMode::Interned);
-        push(
-            &mut table,
-            "CountExact @ hybrid (auto, interned)",
-            &interned,
-        );
         let pinned = run_pinned(n, 0xE20 + 10 * si as u64 + 5);
         push(
             &mut table,

@@ -16,11 +16,9 @@
 //! cargo run --release -p ppbench --bin bench_batched_json -- \
 //!     --workload approximate --engines batched --sizes 1e5,1e6 > BENCH_counting.json
 //!
-//! # Decoded-vs-interned stint comparison (hybrid per-agent legs):
+//! # Staged CountExact with per-leg throughput (hybrid per-agent legs):
 //! cargo run --release -p ppbench --bin bench_batched_json -- \
 //!     --workload countexact --engines hybrid --sizes 1e5 > BENCH_countexact.json
-//! cargo run --release -p ppbench --bin bench_batched_json -- \
-//!     --workload countexact --engines hybrid --sizes 1e5 --interned-stints
 //!
 //! # Crash-safe output: write the JSON atomically (temp + fsync + rename)
 //! # instead of redirecting stdout, so a kill mid-write never truncates a
@@ -55,8 +53,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use popcount::{
-    count_exact_dense_staged_with, valid_estimates, ApproximateParams, CountExactParams,
-    DenseApproximate, StintMode,
+    count_exact_dense_staged, valid_estimates, ApproximateParams, CountExactParams,
+    DenseApproximate,
 };
 use ppproto::DenseEpidemic;
 use ppsim::snapshot::write_bytes_atomic;
@@ -144,13 +142,7 @@ fn legs_json(legs: Option<HybridLegs>) -> String {
 /// and wrong-output flag of one run to convergence.
 type TimedRun = (f64, u64, Vec<u64>, Option<HybridLegs>, bool);
 
-fn time_engine(
-    workload: Workload,
-    engine: Engine,
-    n: usize,
-    seed: u64,
-    stints: StintMode,
-) -> TimedRun {
+fn time_engine(workload: Workload, engine: Engine, n: usize, seed: u64) -> TimedRun {
     match workload {
         Workload::Epidemic => {
             let start = Instant::now();
@@ -202,16 +194,13 @@ fn time_engine(
         Workload::CountExact => {
             // Staged: stages 1–2 on the dense engine, refinement per-agent
             // (see `popcount::exact::staged` for the Õ(n)-states rationale).
-            // `stints` selects native-struct or interned-index stepping for
-            // the per-agent legs (`--interned-stints`).
             let start = Instant::now();
-            let outcome = count_exact_dense_staged_with(
+            let outcome = count_exact_dense_staged(
                 CountExactParams::dense_at_scale(n),
                 n,
                 seed,
                 engine,
                 u64::MAX >> 1,
-                stints,
             )
             .expect("engine construction must succeed");
             assert!(outcome.converged, "staged dense count-exact must converge");
@@ -237,15 +226,9 @@ fn time_engine(
     }
 }
 
-fn measure(
-    workload: Workload,
-    engine: Engine,
-    n: usize,
-    trials: usize,
-    stints: StintMode,
-) -> Measurement {
+fn measure(workload: Workload, engine: Engine, n: usize, trials: usize) -> Measurement {
     // Warm-up run (page faults, branch predictors), then timed trials.
-    let _ = time_engine(workload, engine, n, derive_seed(0xBEEF, 999), stints);
+    let _ = time_engine(workload, engine, n, derive_seed(0xBEEF, 999));
     let mut secs = Vec::with_capacity(trials);
     let mut inters = Vec::with_capacity(trials);
     let mut switch_points = Vec::new();
@@ -253,7 +236,7 @@ fn measure(
     let mut wrong_outputs = 0;
     for t in 0..trials {
         let (s, i, switches, l, wrong) =
-            time_engine(workload, engine, n, derive_seed(0xBEEF, t as u64), stints);
+            time_engine(workload, engine, n, derive_seed(0xBEEF, t as u64));
         wrong_outputs += usize::from(wrong);
         secs.push(s);
         inters.push(i as f64);
@@ -330,11 +313,6 @@ fn engine_json_fields(engine: Engine) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let stints = if args.iter().any(|a| a == "--interned-stints") {
-        StintMode::Interned
-    } else {
-        StintMode::Decoded
-    };
     let shards: usize = flag_value(&args, "--shards").map_or(8, |v| v.parse().expect("--shards"));
     let threads: usize =
         flag_value(&args, "--threads").map_or(8, |v| v.parse().expect("--threads"));
@@ -370,12 +348,6 @@ fn main() {
     };
 
     let workload = flag_value(&args, "--workload").map_or(Workload::Epidemic, Workload::parse);
-    assert!(
-        stints == StintMode::Decoded || workload == Workload::CountExact,
-        "--interned-stints only applies to --workload countexact (the other \
-         workloads drive DenseSimulator, which always uses the protocol's \
-         default stint mode) -- refusing to emit a mislabelled baseline"
-    );
     let name = flag_value(&args, "--name").unwrap_or_else(|| workload.default_name());
     let note = flag_value(&args, "--note");
 
@@ -388,7 +360,7 @@ fn main() {
                 continue;
             }
             eprintln!("measuring {} engine at n = {n} ...", engine.name());
-            measurements.push(measure(workload, engine, n, trials, stints));
+            measurements.push(measure(workload, engine, n, trials));
         }
     }
 

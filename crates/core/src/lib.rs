@@ -146,8 +146,8 @@ pub use exact::count_exact::{
 };
 pub use exact::stable::{all_exact, StableCountExact, StableCountExactAgent};
 pub use exact::staged::{
-    count_exact_dense_staged, count_exact_dense_staged_checkpointed, count_exact_dense_staged_with,
-    StagedCheckpoint, StagedCountOutcome, StintMode,
+    count_exact_dense_staged, count_exact_dense_staged_checkpointed, StagedCheckpoint,
+    StagedCountOutcome,
 };
 pub use params::{ApproximateParams, CountExactParams};
 pub use search::{search_interact, SearchContext, SearchState};

@@ -118,12 +118,12 @@ impl CountExactParams {
     ///
     /// Stages 1–2 stay narrow (≈ 7·10⁴ distinct states over a full
     /// `n = 10⁶` window with [`Self::dense_at_scale`]), but the refinement
-    /// stage mints `Θ(n)` live load values (Lemma 11; a converged hybrid run
-    /// at `n = 10⁵` interns ≈ `7.5n` distinct states), and the hybrid engine
-    /// keeps interning through its per-agent phase — so the index space must
-    /// scale with `n`: `16n` with a `2²²` floor, clamped to the interner's
-    /// `u32` ceiling.  Capacity only sizes flat engine buffers (see
-    /// [`ppsim::interned`]), so the headroom costs memory, never time.
+    /// stage mints `Θ(n)` live load values (Lemma 11), and a migration back
+    /// to dense mid-refinement tallies up to that many distinct loads into
+    /// the interner at once — so the index space must scale with `n`: `16n`
+    /// with a `2²²` floor, clamped to the interner's `u32` ceiling.
+    /// Capacity only sizes flat engine buffers (see [`ppsim::interned`]),
+    /// so the headroom costs memory, never time.
     #[must_use]
     pub fn dense_capacity(n: usize) -> usize {
         n.saturating_mul(16).max(1 << 22).min(u32::MAX as usize - 1)

@@ -516,14 +516,14 @@ proptest! {
         }
     }
 
-    /// Decoded vs interned stints on the real protocol: starting from the
-    /// same mid-run configuration and stint seed, the native-struct stint and
-    /// the interned-index stint must advance the *identical* trajectory (the
-    /// pair schedule is a pure function of the seed, and the codec
-    /// bisimulates δ), so their tallied configurations agree interaction for
-    /// interaction.
+    /// Decoded vs identity-codec stints on the real protocol: starting from
+    /// the same mid-run configuration and stint seed, the native-struct
+    /// stint and the `u32`-index stint over `DenseAdapter` must advance the
+    /// *identical* trajectory (the pair schedule is a pure function of the
+    /// seed, and the codec bisimulates δ), so their tallied configurations
+    /// agree interaction for interaction.
     #[test]
-    fn decoded_and_interned_stints_advance_the_same_trajectory(
+    fn decoded_and_index_stints_advance_the_same_trajectory(
         seed in any::<u64>(),
         warmup in 10_000u64..100_000,
     ) {
@@ -536,17 +536,13 @@ proptest! {
         let mut decoded = ppsim::DenseProtocol::agent_stint(&proto, &counts, stint_seed)
             .expect("DenseCountExact carries a codec");
         prop_assert_eq!(decoded.kind(), "decoded");
-        let mut interned = ppsim::DecodedStint::boxed(
-            ppsim::IndexCodec(proto.clone()),
-            &counts,
-            stint_seed,
-        );
-        prop_assert_eq!(interned.kind(), "interned");
+        let mut index = ppsim::DecodedStint::boxed(DenseAdapter(proto.clone()), &counts, stint_seed);
+        prop_assert_eq!(index.kind(), "index");
         for _ in 0..4 {
             decoded.run(2_500);
-            interned.run(2_500);
-            prop_assert_eq!(decoded.counts(), interned.counts());
-            prop_assert_eq!(decoded.occupied_states(), interned.occupied_states());
+            index.run(2_500);
+            prop_assert_eq!(decoded.counts(), index.counts());
+            prop_assert_eq!(decoded.occupied_states(), index.occupied_states());
         }
     }
 }

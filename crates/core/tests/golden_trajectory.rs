@@ -11,9 +11,17 @@
 //! read `ln k!` from a per-thread memo and δ from a `HashMap` memo; that they
 //! still match shows the engine's `ln k!` table and direct-mapped δ cache
 //! moved no draw.
+//!
+//! The per-agent pins below cover the other representations the same way:
+//! the hybrid engine's decoded stint and both migrations, the sequential
+//! engine over `DenseAdapter`, and the identity-codec stint a protocol
+//! without a native codec falls back to.  They were recorded before the
+//! per-agent configuration edits and the run loop were shared between the
+//! engines.
 
 use popcount::{CountExactParams, DenseCountExact};
-use ppsim::BatchedSimulator;
+use ppproto::DenseJunta;
+use ppsim::{BatchedSimulator, DenseSimulator, Engine, HybridSimulator, SwitchDirection};
 
 /// FNV-1a over the full counts vector, as little-endian `u64`s.
 fn digest(counts: &[u64]) -> u64 {
@@ -49,4 +57,71 @@ fn dense_count_exact_batched_trajectory_is_pinned() {
         assert_eq!(sim.occupied_states(), occupied, "seed {seed}");
         assert_eq!(digest(sim.counts()), hash, "seed {seed}");
     }
+}
+
+#[test]
+fn dense_count_exact_hybrid_trajectory_is_pinned() {
+    const N: usize = 3000;
+    // (seed, (interactions, direction, occupied) per switch, states
+    // discovered and counts digest after 200 000 interactions).
+    type Switch = (u64, SwitchDirection, usize);
+    let golden: [(u64, [Switch; 2], usize, u64); 2] = [
+        (
+            1,
+            [
+                (3000, SwitchDirection::ToAgent, 84),
+                (30750, SwitchDirection::ToDense, 19),
+            ],
+            228,
+            0x1a48_08cc_0adf_55be,
+        ),
+        (
+            2,
+            [
+                (3000, SwitchDirection::ToAgent, 81),
+                (29250, SwitchDirection::ToDense, 17),
+            ],
+            239,
+            0x7727_35ff_c479_69df,
+        ),
+    ];
+    for (seed, switches, discovered, hash) in golden {
+        let proto = DenseCountExact::new(CountExactParams::dense_at_scale(N));
+        let mut sim = HybridSimulator::new(proto, N, seed).unwrap();
+        sim.run(200_000);
+        let got: Vec<_> = sim
+            .switches()
+            .iter()
+            .map(|e| (e.interactions, e.direction, e.occupied))
+            .collect();
+        assert_eq!(got, switches, "seed {seed}");
+        assert_eq!(
+            sim.protocol().states_discovered(),
+            discovered,
+            "seed {seed}"
+        );
+        assert_eq!(digest(&sim.counts()), hash, "seed {seed}");
+    }
+}
+
+#[test]
+fn dense_count_exact_sequential_trajectory_is_pinned() {
+    const N: usize = 500;
+    let proto = DenseCountExact::new(CountExactParams::dense_at_scale(N));
+    let mut sim = DenseSimulator::new(Engine::Sequential, proto, N, 7).unwrap();
+    sim.run(500_000);
+    assert_eq!(digest(&sim.counts()), 0x312c_a12d_abd5_47f7);
+}
+
+#[test]
+fn identity_codec_stint_trajectory_is_pinned() {
+    // The junta protocol carries no native codec, so its per-agent stint
+    // steps dense indices through `DenseProtocol::transition`.
+    let mut sim = HybridSimulator::new(DenseJunta::new(), 2000, 3).unwrap();
+    sim.switch_to_agent().unwrap();
+    sim.run(6_000);
+    let points: Vec<u64> = sim.switches().iter().map(|e| e.interactions).collect();
+    assert_eq!(points, [0, 1000]);
+    assert_eq!(sim.occupied_states(), 9);
+    assert_eq!(digest(&sim.counts()), 0x6e87_2bcf_057e_31e9);
 }

@@ -58,9 +58,9 @@ use rand::rngs::SmallRng;
 
 use crate::block::{DeltaTable, Occupancy, TouchSet};
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
+use crate::convergence::{self, RunOutcome};
 use crate::dense::DenseProtocol;
-use crate::error::SimError;
+use crate::error::{check_corrupt, check_counts, check_transfer, invalid_target, SimError};
 use crate::rng::seeded_rng;
 use crate::sample::{
     ln_factorial_table, multivariate_hypergeometric_sparse, multivariate_hypergeometric_sparse_in,
@@ -257,24 +257,8 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if either state is out of range
     /// or fewer than `k` agents are in `from`.
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        if from >= self.q || to >= self.q {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "states ({from}, {to}) outside the state space 0..{}",
-                    self.q
-                ),
-            });
-        }
-        if self.counts[from] < k {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "cannot move {k} agents out of state {from} holding {}",
-                    self.counts[from]
-                ),
-            });
-        }
+        let available = (from < self.q && to < self.q).then(|| self.counts[from]);
+        check_transfer(from, to, k, self.q, available)?;
         self.counts[from] -= k;
         self.counts[to] += k;
         self.occupied.mark(to);
@@ -288,19 +272,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if `counts` has the wrong length
     /// or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
-        if counts.len() != self.q {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("expected {} state counts, got {}", self.q, counts.len()),
-            });
-        }
-        let total: u64 = counts.iter().sum();
-        if total != self.n {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("counts sum to {total}, the population is {}", self.n),
-            });
-        }
+        check_counts(&counts, self.q, self.n)?;
         self.counts = counts;
         self.occupied.rebuild(&self.counts);
         Ok(())
@@ -326,12 +298,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        if k > self.n {
-            return Err(SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!("cannot corrupt {k} of {} agents", self.n),
-            });
-        }
+        check_corrupt(k, self.n)?;
         let mut victims = Vec::new();
         multivariate_hypergeometric_sparse(
             rng,
@@ -346,10 +313,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
             for _ in 0..hit {
                 let to = new_state(from, rng);
                 if to >= self.q {
-                    return Err(SimError::InvalidParameter {
-                        name: "corrupt",
-                        reason: format!("target state {to} outside the state space 0..{}", self.q),
-                    });
+                    return Err(invalid_target(to, self.q));
                 }
                 self.counts[from] -= 1;
                 self.counts[to] += 1;
@@ -542,34 +506,18 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the same contract as
     /// [`Simulator::run_until`](crate::Simulator::run_until).
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Run until `pred` holds, invoking `observer` after every check interval —
@@ -586,27 +534,17 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         F: FnMut(&Self) -> bool,
         Obs: FnMut(&Self),
     {
-        let check_every = check_every.max(1);
-        observer(self);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            observer(self);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            |s| {
+                observer(s);
+                pred(s)
+            },
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration counts.

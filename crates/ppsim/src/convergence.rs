@@ -83,6 +83,43 @@ impl RunOutcome {
     }
 }
 
+/// The absolute-chunk loop behind every engine's `run_until` and
+/// `run_until_observed`: probe once before the first step, then run
+/// `min(check_every, max_interactions − interactions)` and probe again,
+/// until the probe holds or `max_interactions` *total* interactions have
+/// been executed.
+///
+/// Chunks end at absolute interaction counts, so a run restored from a
+/// checkpoint taken at a probe boundary issues exactly the chunk sequence
+/// the uninterrupted run would have issued from there — checkpoint replay
+/// relies on this loop being the same for every engine.
+pub(crate) fn run_until<S: ?Sized>(
+    sim: &mut S,
+    interactions: impl Fn(&S) -> u64,
+    mut run: impl FnMut(&mut S, u64),
+    mut probe: impl FnMut(&S) -> bool,
+    check_every: u64,
+    max_interactions: u64,
+) -> RunOutcome {
+    let check_every = check_every.max(1);
+    loop {
+        if probe(sim) {
+            return RunOutcome::Converged {
+                interactions: interactions(sim),
+            };
+        }
+        let done = interactions(sim);
+        if done >= max_interactions {
+            return RunOutcome::Exhausted {
+                interactions: done,
+                budget: max_interactions,
+            };
+        }
+        let chunk = check_every.min(max_interactions - done);
+        run(sim, chunk);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,13 +17,16 @@
 //! [`DenseAdapter`] lifts a `DenseProtocol` back into a regular [`Protocol`]
 //! so the *same* transition system can be driven by both engines — this is how
 //! the distributional-equivalence tests pin the two engines against each
-//! other.
+//! other.  It is also the identity [`AgentCodec`]: the per-agent
+//! representation of every protocol without a native decoding, in the
+//! sequential engine and in the hybrid engine's per-agent stints alike.
 
 use std::fmt::Debug;
 
 use rand::rngs::SmallRng;
 
 use crate::protocol::Protocol;
+use crate::stint::AgentCodec;
 
 /// A population protocol over an enumerated state space `0..q` with a
 /// deterministic transition function.
@@ -141,14 +144,14 @@ pub trait DenseProtocol {
 
     /// Build a **decoded per-agent stint** over this configuration, if the
     /// protocol carries a typed agent-state codec
-    /// ([`AgentCodec`](crate::stint::AgentCodec)).
+    /// ([`AgentCodec`]).
     ///
     /// The hybrid engine calls this at every dense → per-agent migration;
     /// `counts` is the configuration to expand and `seed` drives the stint's
-    /// schedule RNG.  The default `None` makes the engine fall back to
-    /// stepping interned `u32` indices through [`Self::transition`]
-    /// (the [`IndexCodec`](crate::stint::IndexCodec) path).  Codec-bearing
-    /// protocols override it in three lines:
+    /// schedule RNG.  The default `None` makes the engine fall back to the
+    /// same stint over [`DenseAdapter`]'s identity codec, stepping `u32`
+    /// indices through [`Self::transition`] (stint kind `"index"`).
+    /// Codec-bearing protocols override it in three lines:
     ///
     /// ```rust,ignore
     /// fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<Self::Output>> {
@@ -272,12 +275,19 @@ impl<P: DenseProtocol + ?Sized> DenseProtocol for &P {
     }
 }
 
-/// Adapter running a [`DenseProtocol`] on the sequential per-agent engine.
+/// Adapter running a [`DenseProtocol`] on the per-agent engines.
 ///
 /// The agent state is the dense index itself (`u32`), so a
 /// `Simulator<DenseAdapter<P>>` executes exactly the same transition system as
 /// a `BatchedSimulator<P>` — the two engines then differ only in how they
 /// sample the schedule, which is what the equivalence tests exercise.
+///
+/// The adapter is also a [`DenseProtocol`] (forwarding to `P`) and the
+/// identity [`AgentCodec`] over dense indices: the hybrid engine runs its
+/// per-agent stints as `DecodedStint<DenseAdapter<P>>` for protocols that do
+/// not override [`DenseProtocol::agent_stint`], stepping `u32` indices
+/// through [`DenseProtocol::transition`] — for interned protocols, straight
+/// through the interner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseAdapter<P>(pub P);
 
@@ -305,6 +315,53 @@ impl<P: DenseProtocol> Protocol for DenseAdapter<P> {
     }
 }
 
+impl<P: DenseProtocol> DenseProtocol for DenseAdapter<P> {
+    type Output = <P as DenseProtocol>::Output;
+
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn initial_state(&self) -> usize {
+        self.0.initial_state()
+    }
+    fn transition(&self, initiator: usize, responder: usize) -> (usize, usize) {
+        self.0.transition(initiator, responder)
+    }
+    fn output(&self, state: usize) -> Self::Output {
+        self.0.output(state)
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn dynamic(&self) -> bool {
+        self.0.dynamic()
+    }
+    fn discovered_states(&self) -> Option<usize> {
+        self.0.discovered_states()
+    }
+}
+
+impl<P: DenseProtocol + Clone + Send + 'static> AgentCodec for DenseAdapter<P> {
+    type Native = DenseAdapter<P>;
+
+    fn native(&self) -> Self::Native {
+        self.clone()
+    }
+
+    fn decode_agent(&self, index: usize) -> u32 {
+        // Dense index spaces are bounded well below u32::MAX. ppcheck: allow(no-unwrap)
+        u32::try_from(index).expect("dense state spaces fit in u32")
+    }
+
+    fn encode_agent(&self, state: &u32) -> usize {
+        *state as usize
+    }
+
+    fn stint_label(&self) -> &'static str {
+        "index"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +369,7 @@ mod tests {
     use crate::simulator::Simulator;
 
     /// Two-state one-way epidemic on dense indices.
+    #[derive(Clone)]
     struct Rumor;
 
     impl DenseProtocol for Rumor {
@@ -356,6 +414,11 @@ mod tests {
     #[test]
     fn adapter_interact_applies_delta_in_place() {
         let adapter = DenseAdapter(Rumor);
+        // The identity codec: indices round-trip, out-of-range ones refuse.
+        for i in 0..2 {
+            assert_eq!(adapter.encode_agent(&adapter.decode_agent(i)), i);
+        }
+        assert_eq!(adapter.try_decode_agent(2), None);
         let mut rng = seeded_rng(0);
         let mut u = 0u32;
         let mut v = 1u32;

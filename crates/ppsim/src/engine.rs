@@ -22,18 +22,18 @@
 
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
+use crate::convergence::{self, RunOutcome};
 use crate::dense::{DenseAdapter, DenseProtocol};
-use crate::error::SimError;
+use crate::error::{check_counts, SimError};
 use crate::hybrid::{HybridLegs, HybridSimulator};
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
 use crate::simulator::Simulator;
 use crate::snapshot::{
     Checkpointable, EngineSnapshot, PersistState, ENGINE_DENSE_SEQUENTIAL, ENGINE_SEQUENTIAL,
 };
+use crate::stint;
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Population size below which the sequential engine out-runs the batched
 /// one: per-interaction cost beats per-block overhead while blocks are short
@@ -153,10 +153,13 @@ impl Engine {
 ///
 /// The protocol bound is the union of the engines' needs (`Clone + Send` for
 /// the sharded engine's per-shard copies).  Convergence predicates receive
-/// `&DenseSimulator`, so the same experiment code drives all three engines;
+/// `&DenseSimulator`, so the same experiment code drives all four engines;
 /// note that [`Self::count_of`] and [`Self::counts`] scan the per-agent
 /// state vector in `O(n)` on the sequential engine — cheap in exactly the
-/// small-`n` regime that engine is for.
+/// small-`n` regime that engine is for.  The sequential arms edit the
+/// configuration through the same per-agent routines as the hybrid
+/// engine's stints ([`crate::stint`]), over [`DenseAdapter`]'s identity
+/// codec.
 #[derive(Debug, Clone)]
 pub enum DenseSimulator<P: DenseProtocol + Clone + Send> {
     /// Sequential per-agent execution.
@@ -286,11 +289,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn count_of(&self, state: usize) -> u64 {
         match self {
-            DenseSimulator::Sequential(s) => s
-                .states()
-                .iter()
-                .filter(|&&st| st as usize == state)
-                .count() as u64,
+            DenseSimulator::Sequential(s) => stint::count_of(s.protocol(), s.states(), state),
             DenseSimulator::Batched(s) => s.count_of(state),
             DenseSimulator::Sharded(s) => s.count_of(state),
             DenseSimulator::Hybrid(s) => s.count_of(state),
@@ -303,11 +302,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     pub fn counts(&self) -> Vec<u64> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let mut counts = vec![0u64; s.protocol().0.num_states()];
-                for &st in s.states() {
-                    counts[st as usize] += 1;
-                }
-                counts
+                stint::tally(s.states(), s.protocol().num_states(), |&st| st as usize)
             }
             DenseSimulator::Batched(s) => s.counts().to_vec(),
             DenseSimulator::Sharded(s) => s.counts().to_vec(),
@@ -335,33 +330,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let q = s.protocol().0.num_states();
-                if from >= q || to >= q {
-                    return Err(SimError::InvalidParameter {
-                        name: "transfer",
-                        reason: format!("states ({from}, {to}) outside the state space 0..{q}"),
-                    });
-                }
-                let available = s.states().iter().filter(|&&st| st as usize == from).count() as u64;
-                if available < k {
-                    return Err(SimError::InvalidParameter {
-                        name: "transfer",
-                        reason: format!(
-                            "cannot move {k} agents out of state {from} holding {available}"
-                        ),
-                    });
-                }
-                let mut moved = 0u64;
-                for st in s.states_mut() {
-                    if moved == k {
-                        break;
-                    }
-                    if *st as usize == from {
-                        *st = to as u32;
-                        moved += 1;
-                    }
-                }
-                Ok(())
+                let (adapter, states) = s.parts_mut();
+                stint::transfer(adapter, states, from, to, k, |_, _| {})
             }
             DenseSimulator::Batched(s) => s.transfer(from, to, k),
             DenseSimulator::Sharded(s) => s.transfer(from, to, k),
@@ -393,35 +363,9 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let q = s.protocol().0.num_states();
-                if counts.len() != q {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("expected {q} state counts, got {}", counts.len()),
-                    });
-                }
-                let n = s.population() as u64;
-                let total: u64 = counts.iter().sum();
-                if total != n {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("counts sum to {total}, the population is {n}"),
-                    });
-                }
-                let mut slots = s.states_mut().iter_mut();
-                for (state, &c) in counts.iter().enumerate() {
-                    for _ in 0..c {
-                        let Some(slot) = slots.next() else {
-                            return Err(SimError::InvalidParameter {
-                                name: "counts",
-                                reason: format!(
-                                    "counts sum to {total} but only {n} agent slots exist"
-                                ),
-                            });
-                        };
-                        *slot = state as u32;
-                    }
-                }
+                let (adapter, states) = s.parts_mut();
+                check_counts(&counts, adapter.num_states(), states.len() as u64)?;
+                states.clone_from_slice(&stint::expand(adapter, &counts));
                 Ok(())
             }
             DenseSimulator::Batched(s) => s.set_counts(counts),
@@ -452,32 +396,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     ) -> Result<(), SimError> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let q = s.protocol().0.num_states();
-                let n = s.population();
-                if k > n as u64 {
-                    return Err(SimError::InvalidParameter {
-                        name: "corrupt",
-                        reason: format!("cannot corrupt {k} of {n} agents"),
-                    });
-                }
-                // Partial Fisher–Yates: after `k` swap steps the prefix of
-                // `idx` is a uniform k-subset of the agents.
-                let mut idx: Vec<usize> = (0..n).collect();
-                for v in 0..k as usize {
-                    let swap = v + rng.gen_range(0..n - v);
-                    idx.swap(v, swap);
-                    let victim = idx[v];
-                    let current = s.states()[victim] as usize;
-                    let to = new_state(current, rng);
-                    if to >= q {
-                        return Err(SimError::InvalidParameter {
-                            name: "corrupt",
-                            reason: format!("target state {to} outside the state space 0..{q}"),
-                        });
-                    }
-                    s.states_mut()[victim] = to as u32;
-                }
-                Ok(())
+                let (adapter, states) = s.parts_mut();
+                stint::corrupt(adapter, states, k, rng, new_state, |_, _| {})
             }
             DenseSimulator::Batched(s) => s.corrupt(k, rng, new_state),
             DenseSimulator::Sharded(s) => s.corrupt(k, rng, new_state),
@@ -509,35 +429,19 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// Run until `pred` holds (checked every `check_every` interactions, and
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the shared `run_until` contract of
-    /// the three engines.
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    /// the four engines.
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions(),
-            };
-        }
-        while self.interactions() < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions());
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions(),
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions(),
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 }
 

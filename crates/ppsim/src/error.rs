@@ -30,7 +30,7 @@ pub enum SimError {
     SnapshotVersion {
         /// The version found in the header.
         found: u32,
-        /// The newest version this build can read.
+        /// The one version this build reads.
         supported: u32,
     },
     /// A structurally valid snapshot does not fit the simulator it is being
@@ -68,7 +68,7 @@ impl fmt::Display for SimError {
             SimError::SnapshotVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported snapshot format version {found} (this build reads up to {supported})"
+                    "unsupported snapshot format version {found} (this build reads version {supported})"
                 )
             }
             SimError::SnapshotMismatch { reason } => {
@@ -82,6 +82,70 @@ impl fmt::Display for SimError {
 }
 
 impl Error for SimError {}
+
+// The argument checks of the configuration edits every engine offers
+// (`set_counts`, `transfer`, `corrupt`), written once so each engine
+// rejects the same arguments with the same error.
+
+/// `set_counts`: one count per state (`q` of them), summing to the
+/// population `n`.
+pub(crate) fn check_counts(counts: &[u64], q: usize, n: u64) -> Result<(), SimError> {
+    if counts.len() != q {
+        return Err(SimError::InvalidParameter {
+            name: "counts",
+            reason: format!("expected {q} state counts, got {}", counts.len()),
+        });
+    }
+    let total: u64 = counts.iter().sum();
+    if total != n {
+        return Err(SimError::InvalidParameter {
+            name: "counts",
+            reason: format!("counts sum to {total}, the population is {n}"),
+        });
+    }
+    Ok(())
+}
+
+/// `transfer`: `available` is the number of agents in `from`, or `None` when
+/// either state lies outside the (assigned) state space `0..q`.
+pub(crate) fn check_transfer(
+    from: usize,
+    to: usize,
+    k: u64,
+    q: usize,
+    available: Option<u64>,
+) -> Result<(), SimError> {
+    match available {
+        None => Err(SimError::InvalidParameter {
+            name: "transfer",
+            reason: format!("states ({from}, {to}) outside the state space 0..{q}"),
+        }),
+        Some(available) if available < k => Err(SimError::InvalidParameter {
+            name: "transfer",
+            reason: format!("cannot move {k} agents out of state {from} holding {available}"),
+        }),
+        Some(_) => Ok(()),
+    }
+}
+
+/// `corrupt`: at most the whole population of `n` agents.
+pub(crate) fn check_corrupt(k: u64, n: u64) -> Result<(), SimError> {
+    if k > n {
+        return Err(SimError::InvalidParameter {
+            name: "corrupt",
+            reason: format!("cannot corrupt {k} of {n} agents"),
+        });
+    }
+    Ok(())
+}
+
+/// `corrupt`: the overwrite chose a state outside the state space `0..q`.
+pub(crate) fn invalid_target(target: usize, q: usize) -> SimError {
+    SimError::InvalidParameter {
+        name: "corrupt",
+        reason: format!("target state {target} outside the state space 0..{q}"),
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -114,7 +178,7 @@ mod tests {
             supported: 1,
         };
         assert!(e.to_string().contains("version 9"));
-        assert!(e.to_string().contains("up to 1"));
+        assert!(e.to_string().contains("reads version 1"));
         let e = SimError::SnapshotMismatch {
             reason: "population 10 != 20".into(),
         };

@@ -40,12 +40,11 @@
 //! dense → agent, tally + intern once per distinct state on agent → dense —
 //! instead of four locked probes per interaction, which cost the PR 4
 //! interned stint a measured ~40 % of the `CountExact` refinement leg at
-//! `n = 10⁵`.  Protocols without a codec fall back to stepping interned
-//! `u32` indices through [`DenseProtocol::transition`]
-//! ([`IndexCodec`]); setting
-//! [`HybridConfig::interned_stints`] forces that fallback for every
-//! protocol, which is the comparison baseline E20 and the bench tooling
-//! measure against.  The stint also maintains its occupancy census
+//! `n = 10⁵`.  Protocols without a codec run the same stint over
+//! [`DenseAdapter`]'s identity codec, stepping `u32` indices through
+//! [`DenseProtocol::transition`] (stint kind `"index"`).  There is no other
+//! stint mode: which stint runs is a property of the protocol, not of the
+//! engine configuration.  The stint also maintains its occupancy census
 //! incrementally, so agent-mode monitor observations are `O(1)` instead of
 //! an `O(n log n)` sort of the state vector.
 //!
@@ -94,13 +93,13 @@ use std::time::Instant;
 
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
-use crate::dense::DenseProtocol;
-use crate::error::SimError;
+use crate::convergence::{self, RunOutcome};
+use crate::dense::{DenseAdapter, DenseProtocol};
+use crate::error::{check_counts, SimError};
 use crate::rng::derive_seed;
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
 use crate::snapshot::{Checkpointable, EngineSnapshot, PersistState, ENGINE_HYBRID};
-use crate::stint::{BoxedAgentStint, DecodedStint, IndexCodec};
+use crate::stint::{BoxedAgentStint, DecodedStint};
 
 use rand::rngs::SmallRng;
 
@@ -152,13 +151,6 @@ pub struct HybridConfig {
     /// its census incrementally, so an observation is `O(q_occ)` resp.
     /// `O(1)` in either representation.
     pub monitor_every: Option<u64>,
-    /// Run per-agent stints on **interned `u32` indices** through
-    /// [`DenseProtocol::transition`] even when the protocol carries an
-    /// [`AgentCodec`](crate::stint::AgentCodec) — the PR 4 stepping path,
-    /// kept as a measurable baseline for the decoded-vs-interned comparison
-    /// (experiment E20, `bench_batched_json --interned-stints`).  Default
-    /// `false`: codec-bearing protocols run their stints on native structs.
-    pub interned_stints: bool,
 }
 
 impl Default for HybridConfig {
@@ -169,7 +161,6 @@ impl Default for HybridConfig {
             switch_down: 8.0,
             window: 2,
             monitor_every: None,
-            interned_stints: false,
         }
     }
 }
@@ -199,8 +190,9 @@ pub struct HybridLegs {
     pub agent_interactions: u64,
     /// Wall-clock seconds spent on per-agent stints.
     pub agent_seconds: f64,
-    /// The most recent stint's stepping representation (`"decoded"` or
-    /// `"interned"`); `None` if the run never left dense mode.
+    /// The most recent stint's stepping representation (`"decoded"` for a
+    /// native codec, `"index"` for the identity-codec fallback); `None` if
+    /// the run never left dense mode.
     pub stint_kind: Option<&'static str>,
 }
 
@@ -384,7 +376,7 @@ pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
     monitor_every: u64,
     switches: Vec<SwitchEvent>,
     /// The stepping representation of the most recent per-agent stint
-    /// (`"decoded"` or `"interned"`); `None` before the first migration.
+    /// (`"decoded"` or `"index"`); `None` before the first migration.
     stint_kind: Option<&'static str>,
     /// The first error a monitor-driven migration hit (see [`Self::fault`]).
     fault: Option<SimError>,
@@ -591,8 +583,9 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     }
 
     /// The stepping representation of the most recent per-agent stint
-    /// (`"decoded"` for native-struct stints, `"interned"` for the `u32`
-    /// index fallback), or `None` if the run has never left dense mode.
+    /// (`"decoded"` for native-struct stints, `"index"` for the `u32`
+    /// identity-codec fallback), or `None` if the run has never left dense
+    /// mode.
     #[must_use]
     pub fn stint_kind(&self) -> Option<&'static str> {
         self.stint_kind
@@ -693,34 +686,10 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             Mode::Batched(s) => s.set_counts(counts)?,
             Mode::Sharded(s) => s.set_counts(counts)?,
             Mode::Agent(_) => {
-                let q = self.protocol.num_states();
-                if counts.len() != q {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("expected {q} state counts, got {}", counts.len()),
-                    });
-                }
-                let total: u64 = counts.iter().sum();
-                if total != self.n {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("counts sum to {total}, the population is {}", self.n),
-                    });
-                }
+                check_counts(&counts, self.protocol.num_states(), self.n)?;
                 let stint_seed = derive_seed(self.seed, SETCOUNT_SALT + self.interactions());
-                let stint = if self.config.interned_stints {
-                    None
-                } else {
-                    self.protocol.agent_stint(&counts, stint_seed)
-                };
-                let stint = stint.unwrap_or_else(|| {
-                    DecodedStint::boxed(IndexCodec(self.protocol.clone()), &counts, stint_seed)
-                });
-                let executed = self.mode_interactions();
-                self.completed += executed;
-                self.agent_total += executed;
-                self.stint_kind = Some(stint.kind());
-                self.mode = Mode::Agent(stint);
+                let stint = self.stint(&counts, stint_seed);
+                self.replace_mode(Mode::Agent(stint));
                 self.monitor.reset_window();
                 return Ok(());
             }
@@ -844,21 +813,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
         let switch_seed = derive_seed(self.seed, SWITCH_SALT + 1 + self.switches.len() as u64);
         let successor = match direction {
             SwitchDirection::ToAgent => {
-                let counts = self.counts();
-                // Decoded stint if the protocol carries a codec (unless the
-                // configuration pins the interned baseline); otherwise step
-                // interned u32 indices through `transition` as PR 4 did.
-                // Either stint expands in state-index order: a fixed,
-                // representation-independent layout, so the hand-off is a
-                // pure function of the configuration.
-                let stint = if self.config.interned_stints {
-                    None
-                } else {
-                    self.protocol.agent_stint(&counts, switch_seed)
-                };
-                let stint = stint.unwrap_or_else(|| {
-                    DecodedStint::boxed(IndexCodec(self.protocol.clone()), &counts, switch_seed)
-                });
+                let stint = self.stint(&self.counts(), switch_seed);
                 debug_assert_eq!(
                     stint.population() as u64,
                     self.n,
@@ -877,6 +832,41 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
                 )?
             }
         };
+        self.replace_mode(successor);
+        self.monitor.dense = matches!(direction, SwitchDirection::ToDense);
+        self.monitor.streak = 0;
+        self.switches.push(SwitchEvent {
+            interactions: self.interactions(),
+            direction,
+            occupied,
+            discovered_states: self.protocol.discovered_states(),
+        });
+        Ok(())
+    }
+
+    /// A per-agent stint over `counts` seeded with `seed`: the protocol's
+    /// decoded stint if it carries a codec
+    /// ([`DenseProtocol::agent_stint`]), else the same stint over
+    /// [`DenseAdapter`]'s identity codec.  Either expands in state-index
+    /// order — a fixed, representation-independent layout, so the hand-off
+    /// is a pure function of the configuration.
+    fn stint(&self, counts: &[u64], seed: u64) -> BoxedAgentStint<P::Output> {
+        self.protocol.agent_stint(counts, seed).unwrap_or_else(|| {
+            DecodedStint::boxed(DenseAdapter(self.protocol.clone()), counts, seed)
+        })
+    }
+
+    /// Rebuild a stint from snapshot bytes — the restore-side counterpart
+    /// of [`Self::stint`].
+    fn restore_stint(&self, bytes: &[u8]) -> Result<BoxedAgentStint<P::Output>, SimError> {
+        self.protocol.restore_agent_stint(bytes).unwrap_or_else(|| {
+            DecodedStint::restore_boxed(DenseAdapter(self.protocol.clone()), bytes)
+        })
+    }
+
+    /// Retire the running representation — its interaction count folded
+    /// into the per-leg totals exactly once — and continue on `successor`.
+    fn replace_mode(&mut self, successor: Mode<P>) {
         let executed = self.mode_interactions();
         self.completed += executed;
         match &self.mode {
@@ -887,15 +877,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             self.stint_kind = Some(stint.kind());
         }
         self.mode = successor;
-        self.monitor.dense = matches!(direction, SwitchDirection::ToDense);
-        self.monitor.streak = 0;
-        self.switches.push(SwitchEvent {
-            interactions: self.interactions(),
-            direction,
-            occupied,
-            discovered_states: self.protocol.discovered_states(),
-        });
-        Ok(())
     }
 
     /// The first error a *monitor-driven* migration hit, if any.
@@ -972,34 +953,18 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the shared `run_until` contract of
     /// the engines.
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions(),
-            };
-        }
-        while self.interactions() < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions());
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions(),
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions(),
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration counts.
@@ -1016,7 +981,11 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
 /// Stint-kind tags in hybrid snapshots.
 const STINT_NONE: u8 = 0;
 const STINT_DECODED: u8 = 1;
-const STINT_INTERNED: u8 = 2;
+const STINT_INDEX: u8 = 2;
+
+/// The [`stint_label`](crate::stint::AgentCodec::stint_label) of
+/// [`DenseAdapter`]'s identity codec.
+const STINT_INDEX_LABEL: &str = "index";
 
 /// Mode tags in hybrid snapshots.
 const MODE_DENSE: u8 = 0;
@@ -1025,8 +994,8 @@ const MODE_AGENT: u8 = 1;
 fn stint_kind_tag(kind: Option<&'static str>) -> u8 {
     match kind {
         None => STINT_NONE,
-        Some("decoded") => STINT_DECODED,
-        _ => STINT_INTERNED,
+        Some(STINT_INDEX_LABEL) => STINT_INDEX,
+        Some(_) => STINT_DECODED,
     }
 }
 
@@ -1034,7 +1003,7 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
     match tag {
         STINT_NONE => Ok(None),
         STINT_DECODED => Ok(Some("decoded")),
-        STINT_INTERNED => Ok(Some("interned")),
+        STINT_INDEX => Ok(Some(STINT_INDEX_LABEL)),
         other => Err(SimError::SnapshotCorrupt {
             reason: format!("unknown stint-kind tag {other}"),
         }),
@@ -1053,11 +1022,10 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// f64 × 2        switch_up, switch_down
 /// u32            window
 /// u64            resolved monitor_every
-/// bool           interned_stints
 /// u64 × 4        completed, dense_total, agent_total, next_observation
 /// bool, u32      monitor mode flag, monitor streak
 /// switch log     count + (interactions, direction, occupied, discovered?) each
-/// u8             stint-kind tag (0 none / 1 decoded / 2 interned)
+/// u8             stint-kind tag (0 none / 1 decoded / 2 index)
 /// Vec<u8>        protocol state (interner contents for dynamic protocols)
 /// u8 + Vec<u8>   mode tag (0 dense / 1 agent) + inner engine/stint bytes
 /// ```
@@ -1069,9 +1037,8 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// fault-injection harness relies on it).
 ///
 /// Configuration fields that shape the trajectory (population, substrate,
-/// thresholds, window, monitor cadence, stint representation) are validated
-/// against the restore target; the thread budget is not (it never shapes
-/// the trajectory).
+/// thresholds, window, monitor cadence) are validated against the restore
+/// target; the thread budget is not (it never shapes the trajectory).
 impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulator<P> {
     fn save_state(&self) -> EngineSnapshot {
         let mut payload = Vec::new();
@@ -1089,7 +1056,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         self.config.switch_down.persist(&mut payload);
         self.config.window.persist(&mut payload);
         self.monitor_every.persist(&mut payload);
-        self.config.interned_stints.persist(&mut payload);
         self.completed.persist(&mut payload);
         self.dense_total.persist(&mut payload);
         self.agent_total.persist(&mut payload);
@@ -1149,7 +1115,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         let switch_down = r.read::<f64>()?;
         let window = r.read::<u32>()?;
         let monitor_every = r.read::<u64>()?;
-        let interned_stints = r.read::<bool>()?;
         let completed = r.read::<u64>()?;
         let dense_total = r.read::<u64>()?;
         let agent_total = r.read::<u64>()?;
@@ -1201,22 +1166,19 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         } && switch_up.to_bits() == self.config.switch_up.to_bits()
             && switch_down.to_bits() == self.config.switch_down.to_bits()
             && window == self.config.window
-            && monitor_every == self.monitor_every
-            && interned_stints == self.config.interned_stints;
+            && monitor_every == self.monitor_every;
         if !config_matches {
             return Err(SimError::SnapshotMismatch {
                 reason: format!(
                     "snapshot was taken under a different hybrid configuration \
-                     (substrate/thresholds/window/cadence/stint representation): \
+                     (substrate/thresholds/window/cadence): \
                      snapshot ({substrate:?}, {switch_up}/{switch_down}, window {window}, \
-                     every {monitor_every}, interned {interned_stints}) vs simulator \
-                     ({:?}, {}/{}, window {}, every {}, interned {})",
+                     every {monitor_every}) vs simulator ({:?}, {}/{}, window {}, every {})",
                     self.config.substrate,
                     self.config.switch_up,
                     self.config.switch_down,
                     self.config.window,
-                    self.monitor_every,
-                    self.config.interned_stints
+                    self.monitor_every
                 ),
             });
         }
@@ -1248,29 +1210,18 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 mode
             }
             MODE_AGENT => {
-                let stint = match stint_kind {
-                    Some("interned") => {
-                        DecodedStint::restore_boxed(IndexCodec(self.protocol.clone()), &mode_bytes)?
-                    }
-                    Some("decoded") => match self.protocol.restore_agent_stint(&mode_bytes) {
-                        Some(stint) => stint?,
-                        None => {
-                            return Err(SimError::SnapshotMismatch {
-                                reason: format!(
-                                    "snapshot holds a decoded per-agent stint but protocol \
-                                     `{}` does not implement restore_agent_stint",
-                                    self.protocol.name()
-                                ),
-                            })
-                        }
-                    },
-                    _ => {
-                        return Err(SimError::SnapshotCorrupt {
-                            reason: "snapshot is in per-agent mode but records no stint kind"
-                                .into(),
-                        })
-                    }
-                };
+                let stint = self.restore_stint(&mode_bytes)?;
+                if stint_kind != Some(stint.kind()) {
+                    return Err(SimError::SnapshotMismatch {
+                        reason: format!(
+                            "snapshot records a `{}` per-agent stint but protocol `{}` \
+                             restores a `{}` one",
+                            stint_kind.unwrap_or("unlabelled"),
+                            self.protocol.name(),
+                            stint.kind()
+                        ),
+                    });
+                }
                 Mode::Agent(stint)
             }
             other => {

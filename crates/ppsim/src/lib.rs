@@ -132,4 +132,4 @@ pub use simulator::Simulator;
 pub use snapshot::{
     Checkpointable, EngineSnapshot, PersistState, SnapshotReader, SNAPSHOT_VERSION,
 };
-pub use stint::{AgentCodec, AgentStint, BoxedAgentStint, DecodedStint, IndexCodec};
+pub use stint::{AgentCodec, AgentStint, BoxedAgentStint, DecodedStint};

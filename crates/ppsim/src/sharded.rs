@@ -104,9 +104,9 @@ use rand::Rng;
 use crate::batched::BatchedSimulator;
 use crate::block::{DeltaTable, Occupancy};
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
+use crate::convergence::{self, RunOutcome};
 use crate::dense::DenseProtocol;
-use crate::error::SimError;
+use crate::error::{check_corrupt, check_counts, check_transfer, SimError};
 use crate::parallel::run_chunked;
 use crate::rng::{derive_seed, seeded_rng};
 use crate::sample::{
@@ -370,24 +370,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if either state is out of range
     /// or fewer than `k` agents are in `from`.
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        if from >= self.q || to >= self.q {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "states ({from}, {to}) outside the state space 0..{}",
-                    self.q
-                ),
-            });
-        }
-        if self.counts[from] < k {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "cannot move {k} agents out of state {from} holding {}",
-                    self.counts[from]
-                ),
-            });
-        }
+        let available = (from < self.q && to < self.q).then(|| self.counts[from]);
+        check_transfer(from, to, k, self.q, available)?;
         let mut remaining_total = self.counts[from];
         let mut need = k;
         for shard in &mut self.shards {
@@ -420,19 +404,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if `counts` has the wrong length
     /// or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
-        if counts.len() != self.q {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("expected {} state counts, got {}", self.q, counts.len()),
-            });
-        }
-        let total: u64 = counts.iter().sum();
-        if total != self.n {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("counts sum to {total}, the population is {}", self.n),
-            });
-        }
+        check_counts(&counts, self.q, self.n)?;
         self.counts = counts;
         self.occupied.rebuild(&self.counts);
         self.rebalance();
@@ -462,12 +434,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        if k > self.n {
-            return Err(SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!("cannot corrupt {k} of {} agents", self.n),
-            });
-        }
+        check_corrupt(k, self.n)?;
         let mut remaining_total = self.n;
         let mut need = k;
         for shard in &mut self.shards {
@@ -729,34 +696,18 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the same contract as
     /// [`BatchedSimulator::run_until`].
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Run until `pred` holds, invoking `observer` after every check interval —
@@ -772,27 +723,17 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         F: FnMut(&Self) -> bool,
         Obs: FnMut(&Self),
     {
-        let check_every = check_every.max(1);
-        observer(self);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            observer(self);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            |s| {
+                observer(s);
+                pred(s)
+            },
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration counts.

@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
+use crate::convergence::{self, RunOutcome};
 use crate::error::SimError;
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
@@ -123,6 +123,13 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
         &mut self.states
     }
 
+    /// The protocol and mutable access to the configuration at once, for
+    /// edits that read the protocol while rewriting agents (the sequential
+    /// arms of [`DenseSimulator`](crate::DenseSimulator)).
+    pub(crate) fn parts_mut(&mut self) -> (&P, &mut [P::State]) {
+        (&self.protocol, &mut self.states)
+    }
+
     /// Current outputs of all agents.
     ///
     /// Allocates a fresh `Vec`; in hot paths (per-check predicates) prefer
@@ -182,34 +189,18 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
     /// which the predicate held.  For the monotone "done"-flag predicates exposed by
     /// the counting protocols this equals the convergence time up to the check
     /// granularity.
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Run until `pred` holds, invoking `observer` after every check interval.
@@ -228,27 +219,17 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
         F: FnMut(&Self) -> bool,
         Obs: FnMut(&Self),
     {
-        let check_every = check_every.max(1);
-        observer(self);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            observer(self);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            |s| {
+                observer(s);
+                pred(s)
+            },
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration.

@@ -48,8 +48,10 @@
 //!
 //! The version number covers the whole format: header *and* every engine
 //! payload layout.  Any change to any engine's payload bumps
-//! [`SNAPSHOT_VERSION`]; readers reject snapshots with a newer version
-//! ([`SimError::SnapshotVersion`]) rather than guessing.  Golden-file tests
+//! [`SNAPSHOT_VERSION`]; readers reject snapshots of any other version
+//! ([`SimError::SnapshotVersion`]) rather than guessing.  Version 2 dropped
+//! the interned-stint flag from the hybrid payload and the staged
+//! composite frame.  Golden-file tests
 //! pin the byte layout so an accidental change fails loudly instead of
 //! silently orphaning old checkpoints.
 //!
@@ -72,8 +74,8 @@ use crate::error::SimError;
 /// The four magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPSS";
 
-/// The format version this build writes (and the newest it reads).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The format version this build writes (and the only one it reads).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Engine tag: [`crate::Simulator`] (per-agent sequential).
 pub const ENGINE_SEQUENTIAL: u8 = 1;
@@ -455,7 +457,7 @@ impl EngineSnapshot {
     ///
     /// [`SimError::SnapshotCorrupt`] on truncation, bad magic, a length
     /// field disagreeing with the stream, trailing bytes, or a CRC
-    /// mismatch; [`SimError::SnapshotVersion`] for a newer format version.
+    /// mismatch; [`SimError::SnapshotVersion`] for any other format version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
         let mut r = SnapshotReader::new(bytes);
         let magic = r.take(4)?;
@@ -465,7 +467,7 @@ impl EngineSnapshot {
             });
         }
         let version = r.read::<u32>()?;
-        if version == 0 || version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(SimError::SnapshotVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,

@@ -22,12 +22,18 @@
 //!   consults the codec only at the migration boundaries (expand on
 //!   dense → agent, tally + intern on agent → dense), so the hand-off stays
 //!   the exact Markov-in-configuration transfer.
-//! * [`IndexCodec`] is the fallback codec for protocols without a native
-//!   decoding: the "native" state is the dense index itself, and stepping
-//!   goes through [`DenseProtocol::transition`](crate::DenseProtocol) exactly
-//!   as the PR 4 stint did — this is also the comparison lever
-//!   ([`HybridConfig::interned_stints`](crate::HybridConfig)) that keeps the
-//!   interned behaviour measurable.
+//! * Protocols without a native decoding run the same stint over
+//!   [`DenseAdapter`](crate::DenseAdapter)'s identity codec: the "native"
+//!   state is the dense index itself, stepped through
+//!   [`DenseProtocol::transition`] — exactly the sequential engine's
+//!   `Simulator<DenseAdapter<P>>`, which that stint retraces step for step.
+//!
+//! The per-agent configuration edits — `count_of`, the tally, the
+//! state-index-order expansion, `transfer` and `corrupt` — are written once
+//! here, over a state slice and a codec: [`DecodedStint`] calls them and
+//! re-censuses every agent an edit reports as touched, and the sequential
+//! arms of [`DenseSimulator`](crate::DenseSimulator) call them with the
+//! identity codec, so the two per-agent representations cannot drift apart.
 //!
 //! # The incremental census
 //!
@@ -124,7 +130,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::config::ConfigurationStats;
 use crate::dense::DenseProtocol;
-use crate::error::SimError;
+use crate::error::{check_corrupt, check_transfer, invalid_target, SimError};
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
 use crate::scheduler::{Scheduler, UniformScheduler};
@@ -182,16 +188,65 @@ fn state_hash<S: Hash>(state: &S) -> u64 {
     h.finish()
 }
 
-/// The census multiplicity map: 64-bit state hash → number of agents.
-type Census = HashMap<u64, u64, BuildHasherDefault<StateHasher>>;
+/// The incremental occupancy census (see the module docs): the hash of each
+/// agent's state and a hash-keyed multiplicity map whose size is `q_occ`.
+#[derive(Debug, Clone, Default)]
+struct Census {
+    hashes: Vec<u64>,
+    multiplicity: HashMap<u64, u64, BuildHasherDefault<StateHasher>>,
+}
+
+impl Census {
+    /// Census a whole state vector.
+    fn of<S: Hash>(states: &[S]) -> Self {
+        let mut census = Census {
+            hashes: Vec::with_capacity(states.len()),
+            ..Census::default()
+        };
+        for state in states {
+            let h = state_hash(state);
+            census.hashes.push(h);
+            *census.multiplicity.entry(h).or_insert(0) += 1;
+        }
+        census
+    }
+
+    /// Distinct live state hashes.
+    fn occupied(&self) -> usize {
+        self.multiplicity.len()
+    }
+
+    /// Re-census agent `idx`, whose state may have changed to `state`.
+    fn refresh<S: Hash>(&mut self, idx: usize, state: &S) {
+        let new_hash = state_hash(state);
+        let old_hash = self.hashes[idx];
+        if new_hash == old_hash {
+            return;
+        }
+        match self.multiplicity.entry(old_hash) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                *e.get_mut() -= 1;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(_) => {
+                unreachable!("census lost track of a live state hash")
+            }
+        }
+        *self.multiplicity.entry(new_hash).or_insert(0) += 1;
+        self.hashes[idx] = new_hash;
+    }
+}
 
 /// An optional extension of [`DenseProtocol`]: a typed codec between dense
 /// state indices and **native per-agent structs**, plus a native protocol
 /// stepping those structs with the monomorphic [`Protocol::interact`].
 ///
 /// Implementing this trait lets the hybrid engine run its per-agent stints on
-/// [`DecodedStint`] — native structs in a `Vec`, zero interner traffic per
-/// interaction — instead of the interned `u32` fallback.  Implementers also
+/// native structs in a `Vec`, with zero interner traffic per interaction,
+/// instead of stepping dense indices through
+/// [`DenseAdapter`](crate::DenseAdapter)'s identity codec.  Implementers also
 /// override [`DenseProtocol::agent_stint`] to hand the engine the stint
 /// (three lines; see the module docs of [`crate::hybrid`]).
 ///
@@ -202,8 +257,8 @@ type Census = HashMap<u64, u64, BuildHasherDefault<StateHasher>>;
 ///   protocols that is `0..discovered`, for arithmetic packings `0..q`).
 /// * `decode → Native::interact → encode` must agree with
 ///   [`DenseProtocol::transition`] on assigned indices — the decoded stint
-///   and the interned path must bisimulate (property-tested per protocol in
-///   this workspace).
+///   and the identity-codec stint must bisimulate (property-tested per
+///   protocol in this workspace).
 /// * `Native::output(decode_agent(i)) == DenseProtocol::output(i)`.
 ///
 /// Encoding may **intern**: for interner-backed protocols `encode_agent`
@@ -257,6 +312,100 @@ pub trait AgentCodec: DenseProtocol + Clone + Send + 'static {
     }
 }
 
+/// The per-agent state an [`AgentCodec`] decodes dense indices into.
+type AgentState<C> = <<C as AgentCodec>::Native as Protocol>::State;
+
+/// Agents in the state behind dense index `index` (`0` if the index has no
+/// state behind it).
+pub(crate) fn count_of<C: AgentCodec>(codec: &C, states: &[AgentState<C>], index: usize) -> u64 {
+    codec.try_decode_agent(index).map_or(0, |target| {
+        states.iter().filter(|&s| *s == target).count() as u64
+    })
+}
+
+/// Tally per-agent states into `q` dense counts through `encode`.
+pub(crate) fn tally<S>(states: &[S], q: usize, mut encode: impl FnMut(&S) -> usize) -> Vec<u64> {
+    let mut counts = vec![0u64; q];
+    for state in states {
+        counts[encode(state)] += 1;
+    }
+    counts
+}
+
+/// Expand dense counts into per-agent states in state-index order — a
+/// fixed, representation-independent layout, so the result is a pure
+/// function of the configuration.  Each occupied index is decoded once.
+///
+/// # Panics
+///
+/// Panics if an occupied index has no state behind it.
+pub(crate) fn expand<C: AgentCodec>(codec: &C, counts: &[u64]) -> Vec<AgentState<C>> {
+    let mut states = Vec::with_capacity(counts.iter().sum::<u64>() as usize);
+    for (index, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            states.resize(states.len() + c as usize, codec.decode_agent(index));
+        }
+    }
+    states
+}
+
+/// Move the first `k` agents (in vector order) holding the state behind
+/// `from` to the state behind `to`.
+pub(crate) fn transfer<C: AgentCodec>(
+    codec: &C,
+    states: &mut [AgentState<C>],
+    from: usize,
+    to: usize,
+    k: u64,
+    mut touched: impl FnMut(usize, &AgentState<C>),
+) -> Result<(), SimError> {
+    let pair = codec.try_decode_agent(from).zip(codec.try_decode_agent(to));
+    let available = pair
+        .as_ref()
+        .map(|(from_state, _)| states.iter().filter(|&s| s == from_state).count() as u64);
+    check_transfer(from, to, k, codec.num_states(), available)?;
+    if let Some((from_state, to_state)) = pair {
+        let movers = states
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, s)| **s == from_state);
+        for (idx, state) in movers.take(k as usize) {
+            *state = to_state.clone();
+            touched(idx, state);
+        }
+    }
+    Ok(())
+}
+
+/// Corrupt `k` agents chosen uniformly without replacement by a partial
+/// Fisher–Yates shuffle: each victim takes the state behind
+/// `new_state(current_index, rng)`.  All randomness comes from `rng`.
+pub(crate) fn corrupt<C: AgentCodec>(
+    codec: &C,
+    states: &mut [AgentState<C>],
+    k: u64,
+    rng: &mut SmallRng,
+    new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
+    mut touched: impl FnMut(usize, &AgentState<C>),
+) -> Result<(), SimError> {
+    let n = states.len();
+    check_corrupt(k, n as u64)?;
+    // After `k` swap steps the prefix of `idx` is a uniform k-subset of the
+    // agents, in a uniform order.
+    let mut idx: Vec<usize> = (0..n).collect();
+    for v in 0..k as usize {
+        let swap = v + rng.gen_range(0..n - v);
+        idx.swap(v, swap);
+        let victim = idx[v];
+        let target = new_state(codec.encode_agent(&states[victim]), rng);
+        states[victim] = codec
+            .try_decode_agent(target)
+            .ok_or_else(|| invalid_target(target, codec.num_states()))?;
+        touched(victim, &states[victim]);
+    }
+    Ok(())
+}
+
 /// The driving surface the hybrid engine needs from a per-agent stint,
 /// object-safe so protocols can hand back their own monomorphised stint
 /// ([`DenseProtocol::agent_stint`]) without the engine naming the state type.
@@ -305,7 +454,9 @@ pub trait AgentStint<O>: fmt::Debug + Send {
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError>;
-    /// Which representation this stint steps (`"decoded"` or `"interned"`).
+    /// Which representation this stint steps: `"decoded"` for a native
+    /// codec, `"index"` for [`DenseAdapter`](crate::DenseAdapter)'s
+    /// identity codec.
     fn kind(&self) -> &'static str;
     /// Clone into a fresh box (object-safe `Clone`).
     fn box_clone(&self) -> BoxedAgentStint<O>;
@@ -342,18 +493,27 @@ impl<O> Clone for BoxedAgentStint<O> {
 pub struct DecodedStint<P: AgentCodec> {
     codec: P,
     native: P::Native,
-    states: Vec<<P::Native as Protocol>::State>,
-    /// Census hash of each agent's current state (avoids re-hashing the
-    /// pre-interaction state on updates).
-    hashes: Vec<u64>,
+    states: Vec<AgentState<P>>,
     census: Census,
-    occupied: usize,
     scheduler: UniformScheduler,
     rng: SmallRng,
     interactions: u64,
 }
 
 impl<P: AgentCodec> DecodedStint<P> {
+    /// A stint over `states` with a freshly built census.
+    fn with_states(codec: P, states: Vec<AgentState<P>>, rng: SmallRng, interactions: u64) -> Self {
+        DecodedStint {
+            native: codec.native(),
+            codec,
+            census: Census::of(&states),
+            states,
+            scheduler: UniformScheduler::new(),
+            rng,
+            interactions,
+        }
+    }
+
     /// Expand a dense counts configuration into a per-agent stint, seeding
     /// the schedule RNG with `seed`.  Agents are laid out in state-index
     /// order — a fixed, representation-independent layout, so the hand-off
@@ -367,34 +527,8 @@ impl<P: AgentCodec> DecodedStint<P> {
     pub fn from_counts(codec: P, counts: &[u64], seed: u64) -> Self {
         let n: u64 = counts.iter().sum();
         assert!(n >= 2, "a population needs at least two agents, got {n}");
-        let native = codec.native();
-        let mut states = Vec::with_capacity(n as usize);
-        let mut hashes = Vec::with_capacity(n as usize);
-        let mut census = Census::default();
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let state = codec.decode_agent(s);
-            let h = state_hash(&state);
-            *census.entry(h).or_insert(0) += c;
-            for _ in 0..c {
-                states.push(state.clone());
-                hashes.push(h);
-            }
-        }
-        let occupied = census.len();
-        DecodedStint {
-            codec,
-            native,
-            states,
-            hashes,
-            census,
-            occupied,
-            scheduler: UniformScheduler::new(),
-            rng: seeded_rng(seed),
-            interactions: 0,
-        }
+        let states = expand(&codec, counts);
+        Self::with_states(codec, states, seeded_rng(seed), 0)
     }
 
     /// Boxed construction for [`DenseProtocol::agent_stint`] implementations.
@@ -407,7 +541,7 @@ impl<P: AgentCodec> DecodedStint<P> {
     where
         <P as DenseProtocol>::Output: 'static,
         P::Native: 'static,
-        <P::Native as Protocol>::State: PersistState,
+        AgentState<P>: PersistState,
     {
         Box::new(Self::from_counts(codec, counts, seed))
     }
@@ -417,8 +551,8 @@ impl<P: AgentCodec> DecodedStint<P> {
     /// [`DenseProtocol::restore_agent_stint`]
     /// overrides.
     ///
-    /// The census, hashes, and occupancy counter are pure functions of the
-    /// state vector and are rebuilt here rather than trusted from the bytes.
+    /// The census is a pure function of the state vector and is rebuilt
+    /// here rather than trusted from the bytes.
     ///
     /// # Errors
     ///
@@ -431,38 +565,24 @@ impl<P: AgentCodec> DecodedStint<P> {
     where
         <P as DenseProtocol>::Output: 'static,
         P::Native: 'static,
-        <P::Native as Protocol>::State: PersistState,
+        AgentState<P>: PersistState,
     {
         let mut r = SnapshotReader::new(bytes);
         let interactions = r.read::<u64>()?;
         let rng = unpersist_rng(&mut r)?;
-        let states = r.read::<Vec<<P::Native as Protocol>::State>>()?;
+        let states = r.read::<Vec<AgentState<P>>>()?;
         r.finish()?;
         if states.len() < 2 {
             return Err(SimError::SnapshotCorrupt {
                 reason: format!("per-agent stint population {} is below 2", states.len()),
             });
         }
-        let native = codec.native();
-        let mut hashes = Vec::with_capacity(states.len());
-        let mut census = Census::default();
-        for state in &states {
-            let h = state_hash(state);
-            hashes.push(h);
-            *census.entry(h).or_insert(0) += 1;
-        }
-        let occupied = census.len();
-        Ok(Box::new(DecodedStint {
+        Ok(Box::new(Self::with_states(
             codec,
-            native,
             states,
-            hashes,
-            census,
-            occupied,
-            scheduler: UniformScheduler::new(),
             rng,
             interactions,
-        }))
+        )))
     }
 
     /// The codec this stint decodes/encodes through.
@@ -473,7 +593,7 @@ impl<P: AgentCodec> DecodedStint<P> {
 
     /// Borrow the native per-agent states.
     #[must_use]
-    pub fn states(&self) -> &[<P::Native as Protocol>::State] {
+    pub fn states(&self) -> &[AgentState<P>] {
         &self.states
     }
 
@@ -491,35 +611,8 @@ impl<P: AgentCodec> DecodedStint<P> {
         };
         self.native.interact(a, b, &mut self.rng);
         self.interactions += 1;
-        self.refresh_census(i);
-        self.refresh_census(j);
-    }
-
-    /// Re-census agent `idx` after a possible state change.
-    fn refresh_census(&mut self, idx: usize) {
-        let new_hash = state_hash(&self.states[idx]);
-        let old_hash = self.hashes[idx];
-        if new_hash == old_hash {
-            return;
-        }
-        match self.census.entry(old_hash) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                    self.occupied -= 1;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                unreachable!("census lost track of a live state hash")
-            }
-        }
-        let slot = self.census.entry(new_hash).or_insert(0);
-        if *slot == 0 {
-            self.occupied += 1;
-        }
-        *slot += 1;
-        self.hashes[idx] = new_hash;
+        self.census.refresh(i, &self.states[i]);
+        self.census.refresh(j, &self.states[j]);
     }
 }
 
@@ -532,9 +625,7 @@ where
             codec: self.codec.clone(),
             native: self.native.clone(),
             states: self.states.clone(),
-            hashes: self.hashes.clone(),
             census: self.census.clone(),
-            occupied: self.occupied,
             scheduler: self.scheduler,
             rng: self.rng.clone(),
             interactions: self.interactions,
@@ -548,7 +639,7 @@ impl<P: AgentCodec> fmt::Debug for DecodedStint<P> {
             .field("kind", &self.codec.stint_label())
             .field("population", &self.states.len())
             .field("interactions", &self.interactions)
-            .field("occupied", &self.occupied)
+            .field("occupied", &self.census.occupied())
             .finish_non_exhaustive()
     }
 }
@@ -558,7 +649,7 @@ where
     P: AgentCodec,
     P::Native: 'static,
     <P as DenseProtocol>::Output: 'static,
-    <P::Native as Protocol>::State: PersistState,
+    AgentState<P>: PersistState,
 {
     fn run(&mut self, budget: u64) {
         for _ in 0..budget {
@@ -575,32 +666,23 @@ where
     }
 
     fn occupied_states(&self) -> usize {
-        self.occupied
+        self.census.occupied()
     }
 
     fn counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.codec.num_states()];
         // Deduplicate through a local index cache so each distinct state
         // hits the (locked, SipHashed) interner once, not once per agent.
-        let mut index_of: HashMap<
-            <P::Native as Protocol>::State,
-            usize,
-            BuildHasherDefault<StateHasher>,
-        > = HashMap::default();
-        for state in &self.states {
-            let idx = *index_of
+        let mut index_of: HashMap<AgentState<P>, usize, BuildHasherDefault<StateHasher>> =
+            HashMap::default();
+        tally(&self.states, self.codec.num_states(), |state| {
+            *index_of
                 .entry(state.clone())
-                .or_insert_with(|| self.codec.encode_agent(state));
-            counts[idx] += 1;
-        }
-        counts
+                .or_insert_with(|| self.codec.encode_agent(state))
+        })
     }
 
     fn count_of(&self, state: usize) -> u64 {
-        match self.codec.try_decode_agent(state) {
-            Some(target) => self.states.iter().filter(|&s| *s == target).count() as u64,
-            None => 0,
-        }
+        count_of(&self.codec, &self.states, state)
     }
 
     fn output_stats(&self) -> ConfigurationStats<<P as DenseProtocol>::Output> {
@@ -608,36 +690,10 @@ where
     }
 
     fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        let from_state = self.codec.try_decode_agent(from);
-        let to_state = self.codec.try_decode_agent(to);
-        let (Some(from_state), Some(to_state)) = (from_state, to_state) else {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "states ({from}, {to}) outside the assigned state space 0..{}",
-                    self.codec.num_states()
-                ),
-            });
-        };
-        let available = self.states.iter().filter(|&s| *s == from_state).count() as u64;
-        if available < k {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!("cannot move {k} agents out of state {from} holding {available}"),
-            });
-        }
-        let mut moved = 0u64;
-        for idx in 0..self.states.len() {
-            if moved == k {
-                break;
-            }
-            if self.states[idx] == from_state {
-                self.states[idx] = to_state.clone();
-                moved += 1;
-                self.refresh_census(idx);
-            }
-        }
-        Ok(())
+        let census = &mut self.census;
+        transfer(&self.codec, &mut self.states, from, to, k, |idx, state| {
+            census.refresh(idx, state);
+        })
     }
 
     fn corrupt(
@@ -646,36 +702,17 @@ where
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        let n = self.states.len();
-        if k > n as u64 {
-            return Err(SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!("cannot corrupt {k} of {n} agents"),
-            });
-        }
-        // Partial Fisher–Yates: after `k` swap steps the prefix of `idx` is
-        // a uniform k-subset of the agents, in a uniform order.
-        let mut idx: Vec<usize> = (0..n).collect();
-        for v in 0..k as usize {
-            let swap = v + rng.gen_range(0..n - v);
-            idx.swap(v, swap);
-            let victim = idx[v];
-            let current = self.codec.encode_agent(&self.states[victim]);
-            let target = new_state(current, rng);
-            let state =
-                self.codec
-                    .try_decode_agent(target)
-                    .ok_or_else(|| SimError::InvalidParameter {
-                        name: "corrupt",
-                        reason: format!(
-                            "target state {target} outside the assigned state space 0..{}",
-                            self.codec.num_states()
-                        ),
-                    })?;
-            self.states[victim] = state;
-            self.refresh_census(victim);
-        }
-        Ok(())
+        let census = &mut self.census;
+        corrupt(
+            &self.codec,
+            &mut self.states,
+            k,
+            rng,
+            new_state,
+            |idx, state| {
+                census.refresh(idx, state);
+            },
+        )
     }
 
     fn kind(&self) -> &'static str {
@@ -693,92 +730,10 @@ where
     }
 }
 
-/// The identity codec over dense indices: the "native" state *is* the `u32`
-/// index and stepping goes through [`DenseProtocol::transition`] — for
-/// interned protocols, straight through the interner, exactly like the PR 4
-/// per-agent stint.
-///
-/// The hybrid engine falls back to this codec for protocols that do not
-/// override [`DenseProtocol::agent_stint`], and uses it for every protocol
-/// when [`HybridConfig::interned_stints`](crate::HybridConfig) pins the
-/// comparison baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexCodec<P>(pub P);
-
-impl<P: DenseProtocol> Protocol for IndexCodec<P> {
-    type State = u32;
-    type Output = <P as DenseProtocol>::Output;
-
-    fn initial_state(&self) -> u32 {
-        // Dense index spaces are bounded well below u32::MAX. ppcheck: allow(no-unwrap)
-        u32::try_from(self.0.initial_state()).expect("dense state spaces fit in u32")
-    }
-
-    fn interact(&self, initiator: &mut u32, responder: &mut u32, _rng: &mut SmallRng) {
-        let (a, b) = self.0.transition(*initiator as usize, *responder as usize);
-        *initiator = a as u32;
-        *responder = b as u32;
-    }
-
-    fn output(&self, state: &u32) -> Self::Output {
-        self.0.output(*state as usize)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
-impl<P: DenseProtocol> DenseProtocol for IndexCodec<P> {
-    type Output = <P as DenseProtocol>::Output;
-
-    fn num_states(&self) -> usize {
-        self.0.num_states()
-    }
-    fn initial_state(&self) -> usize {
-        self.0.initial_state()
-    }
-    fn transition(&self, initiator: usize, responder: usize) -> (usize, usize) {
-        self.0.transition(initiator, responder)
-    }
-    fn output(&self, state: usize) -> Self::Output {
-        self.0.output(state)
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn dynamic(&self) -> bool {
-        self.0.dynamic()
-    }
-    fn discovered_states(&self) -> Option<usize> {
-        self.0.discovered_states()
-    }
-}
-
-impl<P: DenseProtocol + Clone + Send + 'static> AgentCodec for IndexCodec<P> {
-    type Native = IndexCodec<P>;
-
-    fn native(&self) -> Self::Native {
-        self.clone()
-    }
-
-    fn decode_agent(&self, index: usize) -> u32 {
-        // Dense index spaces are bounded well below u32::MAX. ppcheck: allow(no-unwrap)
-        u32::try_from(index).expect("dense state spaces fit in u32")
-    }
-
-    fn encode_agent(&self, state: &u32) -> usize {
-        *state as usize
-    }
-
-    fn stint_label(&self) -> &'static str {
-        "interned"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseAdapter;
 
     /// Two-state one-way epidemic on dense indices.
     #[derive(Debug, Clone, Copy)]
@@ -800,22 +755,9 @@ mod tests {
     }
 
     #[test]
-    fn index_codec_round_trips_and_steps_the_dense_transition() {
-        let codec = IndexCodec(Rumor);
-        for i in 0..2 {
-            assert_eq!(codec.encode_agent(&codec.decode_agent(i)), i);
-        }
-        let mut u = 0u32;
-        let mut v = 1u32;
-        let mut rng = seeded_rng(0);
-        Protocol::interact(&codec, &mut u, &mut v, &mut rng);
-        assert_eq!((u, v), (1, 1));
-    }
-
-    #[test]
     fn stint_preserves_the_configuration_mass_and_counts_interactions() {
         let counts = vec![9_999u64, 1];
-        let mut stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 3);
+        let mut stint = DecodedStint::from_counts(DenseAdapter(Rumor), &counts, 3);
         assert_eq!(stint.population(), 10_000);
         assert_eq!(stint.occupied_states(), 2);
         stint.run(5_000);
@@ -828,7 +770,7 @@ mod tests {
     #[test]
     fn census_tracks_occupancy_to_saturation() {
         let counts = vec![499u64, 1];
-        let mut stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 11);
+        let mut stint = DecodedStint::from_counts(DenseAdapter(Rumor), &counts, 11);
         // Run the epidemic to saturation: occupancy collapses 2 → 1.
         while stint.count_of(1) < 500 {
             stint.run(1_000);
@@ -842,9 +784,8 @@ mod tests {
     fn stint_matches_the_sequential_simulator_trajectory_exactly() {
         // Same seed, same scheduler, same RNG consumption: the decoded stint
         // over the identity codec must replicate Simulator<DenseAdapter<_>>
-        // bit for bit — this is what keeps the hybrid engine's interned
-        // fallback trajectory-compatible with the PR 4 behaviour.
-        use crate::dense::DenseAdapter;
+        // bit for bit — the hybrid engine's fallback stint and the
+        // sequential engine step the same per-agent process.
         use crate::simulator::Simulator;
         let n = 300usize;
         let mut reference = Simulator::new(DenseAdapter(Rumor), n, 42).unwrap();
@@ -853,7 +794,7 @@ mod tests {
         // same way so the two per-agent vectors can be compared directly.
         reference.states_mut()[n - 1] = 1;
         let counts = vec![n as u64 - 1, 1];
-        let mut stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 42);
+        let mut stint = DecodedStint::from_counts(DenseAdapter(Rumor), &counts, 42);
         for _ in 0..50 {
             reference.run(100);
             stint.run(100);
@@ -864,7 +805,7 @@ mod tests {
     #[test]
     fn transfer_moves_agents_and_validates() {
         let counts = vec![10u64, 0];
-        let mut stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 0);
+        let mut stint = DecodedStint::from_counts(DenseAdapter(Rumor), &counts, 0);
         assert!(stint.transfer(0, 1, 11).is_err());
         assert!(stint.transfer(0, 5, 1).is_err());
         stint.transfer(0, 1, 4).unwrap();
@@ -876,8 +817,8 @@ mod tests {
     #[test]
     fn boxed_stints_clone_and_report_their_kind() {
         let counts = vec![5u64, 5];
-        let stint: BoxedAgentStint<bool> = DecodedStint::boxed(IndexCodec(Rumor), &counts, 1);
-        assert_eq!(stint.kind(), "interned");
+        let stint: BoxedAgentStint<bool> = DecodedStint::boxed(DenseAdapter(Rumor), &counts, 1);
+        assert_eq!(stint.kind(), "index");
         let mut copy = stint.clone();
         copy.run(100);
         assert_eq!(stint.interactions(), 0, "clone is independent");
@@ -887,12 +828,12 @@ mod tests {
     #[test]
     fn save_stint_restore_boxed_round_trips_and_replays_bit_identically() {
         let counts = vec![499u64, 1];
-        let mut reference = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 11);
+        let mut reference = DecodedStint::from_counts(DenseAdapter(Rumor), &counts, 11);
         reference.run(1_000);
         let mut bytes = Vec::new();
         reference.save_stint(&mut bytes);
 
-        let mut restored = DecodedStint::restore_boxed(IndexCodec(Rumor), &bytes).unwrap();
+        let mut restored = DecodedStint::restore_boxed(DenseAdapter(Rumor), &bytes).unwrap();
         assert_eq!(restored.interactions(), 1_000);
         assert_eq!(restored.occupied_states(), reference.occupied_states());
         assert_eq!(restored.counts(), reference.counts());
@@ -908,18 +849,18 @@ mod tests {
     #[test]
     fn restore_boxed_rejects_truncated_and_degenerate_payloads() {
         let counts = vec![3u64, 1];
-        let stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 0);
+        let stint = DecodedStint::from_counts(DenseAdapter(Rumor), &counts, 0);
         let mut bytes = Vec::new();
         stint.save_stint(&mut bytes);
-        assert!(DecodedStint::restore_boxed(IndexCodec(Rumor), &bytes[..bytes.len() - 1]).is_err());
+        assert!(
+            DecodedStint::restore_boxed(DenseAdapter(Rumor), &bytes[..bytes.len() - 1]).is_err()
+        );
 
         let lonely = DecodedStint {
-            codec: IndexCodec(Rumor),
-            native: IndexCodec(Rumor),
+            codec: DenseAdapter(Rumor),
+            native: DenseAdapter(Rumor),
             states: vec![0u32],
-            hashes: vec![state_hash(&0u32)],
-            census: Census::default(),
-            occupied: 1,
+            census: Census::of(&[0u32]),
             scheduler: UniformScheduler::new(),
             rng: seeded_rng(0),
             interactions: 0,
@@ -927,7 +868,7 @@ mod tests {
         let mut bytes = Vec::new();
         lonely.save_stint(&mut bytes);
         assert!(matches!(
-            DecodedStint::restore_boxed(IndexCodec(Rumor), &bytes),
+            DecodedStint::restore_boxed(DenseAdapter(Rumor), &bytes),
             Err(SimError::SnapshotCorrupt { .. })
         ));
     }

@@ -8,8 +8,8 @@ use ppsim::faultsim::kill_and_resume;
 use ppsim::scheduler::{AllPairsScheduler, Scheduler, UniformScheduler};
 use ppsim::{
     derive_seed, seeded_rng, AdversarialRun, BatchedSimulator, Checkpointable, CorruptionTarget,
-    DecodedStint, DenseProtocol, Engine, EngineSnapshot, FaultEvent, FaultKind, FaultPlan,
-    HybridSimulator, IndexCodec, InitStrategy, Protocol, ShardedBatchedSimulator, ShardedConfig,
+    DecodedStint, DenseAdapter, DenseProtocol, Engine, EngineSnapshot, FaultEvent, FaultKind,
+    FaultPlan, HybridSimulator, InitStrategy, Protocol, ShardedBatchedSimulator, ShardedConfig,
     Simulator, StateSpaceTracker,
 };
 
@@ -230,7 +230,7 @@ proptest! {
         prop_assert_eq!(sharded.counts().iter().sum::<u64>(), n as u64);
 
         let counts = vec![n as u64 - 1, 1];
-        let mut stint = DecodedStint::boxed(IndexCodec(DenseRumor), &counts, seed);
+        let mut stint = DecodedStint::boxed(DenseAdapter(DenseRumor), &counts, seed);
         stint.run(steps);
         stint.corrupt(k, &mut rng, &mut scribble).unwrap();
         prop_assert_eq!(stint.counts().iter().sum::<u64>(), n as u64);

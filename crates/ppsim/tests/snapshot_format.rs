@@ -1,9 +1,12 @@
-//! Golden-file tests pinning the `ppsim::snapshot` binary format (v1).
+//! Golden-file tests pinning the `ppsim::snapshot` binary format (v2).
 //!
 //! These bytes are a compatibility contract: checkpoints written by one
 //! build must restore in the next.  If a change here is intentional, bump
 //! [`SNAPSHOT_VERSION`] and teach `EngineSnapshot::from_bytes` to migrate
 //! (or reject) the old version — never silently repin the golden bytes.
+//! The v1 → v2 bump changed no batched or sequential payload, so the two
+//! golden frames below differ from their v1 pins in the four version bytes
+//! only (the CRC covers the payload, not the header).
 
 use ppsim::snapshot::{crc32, ENGINE_BATCHED, ENGINE_SEQUENTIAL, SNAPSHOT_MAGIC};
 use ppsim::{
@@ -61,7 +64,7 @@ fn golden_batched_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "505053530100000002540000000000000004000000000000000200000000000000\
+        "505053530200000002540000000000000004000000000000000200000000000000\
          c3dd56fdc1235e8d08856fa2f7082263d0f294247e8601088c51c766153e44b3\
          070000000000000000000000000000000100000000000000010000000400000000000000401433f7"
     );
@@ -75,7 +78,7 @@ fn golden_sequential_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "50505353010000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
+        "50505353020000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
          8a485b8924b6737ea2782fa36be47f9905000000000000000300000000000000010000703754fb"
     );
 }
@@ -151,4 +154,20 @@ fn future_versions_are_refused() {
         }
         other => panic!("expected a version mismatch, got {other:?}"),
     }
+}
+
+/// A frame from an older format version is refused the same way: v1 hybrid
+/// and staged payloads carried a field v2 dropped, so decoding one as v2
+/// would misread every field after it.
+#[test]
+fn older_versions_are_refused() {
+    let mut bytes = EngineSnapshot::new(ENGINE_BATCHED, vec![7; 8]).to_bytes();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        EngineSnapshot::from_bytes(&bytes).unwrap_err(),
+        SimError::SnapshotVersion {
+            found: 1,
+            supported: 2
+        }
+    );
 }

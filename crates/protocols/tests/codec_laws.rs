@@ -1,14 +1,14 @@
 //! Codec laws for the three ported conformance protocols (ISSUE 8
 //! satellite): every [`AgentCodec`] must round-trip its total encoding,
 //! refuse out-of-range indices, bisimulate the dense transition through
-//! `decode → native interact → encode`, agree on outputs — and the hybrid
-//! engine's decoded stint must retrace the interned `u32` stint exactly.
+//! `decode → native interact → encode`, agree on outputs — and the decoded
+//! stint must retrace the `u32` index stint over `DenseAdapter` exactly.
 
 use proptest::prelude::*;
 
 use ppproto::{HermanTokens, StochasticCoalescence, TradeoffElection};
 use ppsim::stint::AgentCodec;
-use ppsim::{seeded_rng, DenseProtocol, HybridConfig, HybridSimulator, Protocol};
+use ppsim::{seeded_rng, DecodedStint, DenseAdapter, DenseProtocol, Protocol};
 
 /// The three codec laws every total (arithmetic) encoding must satisfy,
 /// checked for one index: round-trip, `try_decode` totality in range, and
@@ -82,42 +82,32 @@ fn out_of_range_indices_decode_to_none() {
     assert_eq!(election.try_decode_agent(election.num_states() + 7), None);
 }
 
-/// The decoded stint must retrace the interned `u32` stint interaction for
-/// interaction: the native structs and the dense indices step the same
-/// transition system off the same RNG stream, so the trajectories are
-/// bit-identical, not just distributionally equal.
-fn decoded_stint_matches_interned<C>(
-    codec: C,
-    n: usize,
-    base: HybridConfig,
-    scatter: impl Fn(usize) -> usize,
-) where
-    C: AgentCodec + Sync,
+/// The decoded stint must retrace the `u32` index stint over
+/// [`DenseAdapter`] interaction for interaction: the native structs and the
+/// dense indices step the same transition system off the same RNG stream,
+/// so the trajectories are bit-identical, not just distributionally equal.
+fn decoded_stint_matches_interned<C>(codec: C, n: usize, scatter: impl Fn(usize) -> usize)
+where
+    C: AgentCodec,
 {
     let q = codec.num_states();
     let mut counts = vec![0u64; q];
     for a in 0..n {
         counts[scatter(a) % q] += 1;
     }
-    let mut decoded = HybridSimulator::with_config(codec.clone(), n, 977, base).unwrap();
-    let interned_config = HybridConfig {
-        interned_stints: true,
-        ..base
-    };
-    let mut interned = HybridSimulator::with_config(codec, n, 977, interned_config).unwrap();
-    // The scatter is occupancy-degenerate, so both runs migrate to their
-    // per-agent representation on the replacement itself.
-    decoded.set_counts(counts.clone()).unwrap();
-    interned.set_counts(counts).unwrap();
-    assert_eq!(decoded.stint_kind(), Some("decoded"));
-    assert_eq!(interned.stint_kind(), Some("interned"));
+    let mut decoded = codec
+        .agent_stint(&counts, 977)
+        .expect("the protocol carries a codec");
+    let mut index = DecodedStint::boxed(DenseAdapter(codec), &counts, 977);
+    assert_eq!(decoded.kind(), "decoded");
+    assert_eq!(index.kind(), "index");
     for _ in 0..8 {
         decoded.run(5_000);
-        interned.run(5_000);
+        index.run(5_000);
         assert_eq!(
             decoded.counts(),
-            interned.counts(),
-            "decoded and interned stints diverged"
+            index.counts(),
+            "decoded and index stints diverged"
         );
     }
 }
@@ -125,33 +115,15 @@ fn decoded_stint_matches_interned<C>(
 #[test]
 fn coalescence_decoded_stint_matches_interned_trajectory() {
     // Every agent a distinct size: Θ(n) occupancy forces the per-agent leg.
-    decoded_stint_matches_interned(
-        StochasticCoalescence::new(512),
-        512,
-        HybridConfig::default(),
-        |a| 2 * a + (a & 1),
-    );
+    decoded_stint_matches_interned(StochasticCoalescence::new(512), 512, |a| 2 * a + (a & 1));
 }
 
 #[test]
 fn election_decoded_stint_matches_interned_trajectory() {
-    decoded_stint_matches_interned(
-        TradeoffElection::new(512, 4),
-        512,
-        HybridConfig::default(),
-        |a| 4 * a + (a % 3),
-    );
+    decoded_stint_matches_interned(TradeoffElection::new(512, 4), 512, |a| 4 * a + (a % 3));
 }
 
 #[test]
 fn herman_decoded_stint_matches_interned_trajectory() {
-    // Herman is count-friendly (q = 4 can never exceed the default
-    // up-threshold), so lower the threshold until the four-state scatter
-    // counts as degenerate and the per-agent stint takes over.
-    let config = HybridConfig {
-        switch_up: 0.5,
-        switch_down: 0.1,
-        ..HybridConfig::default()
-    };
-    decoded_stint_matches_interned(HermanTokens::new(), 24, config, |a| a);
+    decoded_stint_matches_interned(HermanTokens::new(), 24, |a| a);
 }
