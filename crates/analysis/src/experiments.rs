@@ -539,7 +539,7 @@ fn run_count_exact(n: usize, seed: u64) -> (bool, u64, Option<i64>, Option<u64>)
         (n * 20) as u64,
         (6_000.0 * n_log_n(n)) as u64,
     );
-    let approx = sim.states().iter().find_map(|a| a.approximation());
+    let approx = sim.states().iter().find_map(|a| a.inner.approximation());
     let output = sim.output_stats().unanimous().cloned().flatten();
     (
         outcome.converged(),
@@ -811,17 +811,17 @@ pub fn e15_state_space(effort: Effort) -> ExperimentReport {
         let proto = Approximate::new(ApproximateParams::default());
         let mut sim = Simulator::new(proto, n, seed).unwrap();
         let mut tracker = StateSpaceTracker::new();
-        let outcome = sim.run_until_observed(
-            |s| all_estimated(s.states()),
+        let outcome = sim.run_until(
             |s| {
                 // Normalise the unbounded book-keeping fields (absolute phase
                 // counters) the way the paper's constant-size counters would.
                 for a in s.states() {
                     let mut key = *a;
                     key.sync.clock.phase %= 5;
-                    key.election.outer.phase = 0;
+                    key.inner.election.outer.phase = 0;
                     tracker.record_state(&key);
                 }
+                all_estimated(s.states())
             },
             (n * 5) as u64,
             (3_000.0 * n_log2_n(n)) as u64,
@@ -838,17 +838,17 @@ pub fn e15_state_space(effort: Effort) -> ExperimentReport {
         let proto = CountExact::new(CountExactParams::default());
         let mut sim = Simulator::new(proto, n, seed).unwrap();
         let mut tracker = StateSpaceTracker::new();
-        let outcome = sim.run_until_observed(
-            move |s| all_counted(s.protocol(), s.states(), n),
+        let outcome = sim.run_until(
             |s| {
                 for a in s.states() {
                     let mut key = *a;
                     key.sync.clock.phase %= 8;
-                    key.stage.tag = 0;
-                    key.stage.origin_phase = 0;
-                    key.stage.start_phase = 0;
+                    key.inner.stage.tag = 0;
+                    key.inner.stage.origin_phase = 0;
+                    key.inner.stage.start_phase = 0;
                     tracker.record_state(&key);
                 }
+                all_counted(s.protocol(), s.states(), n)
             },
             (n * 5) as u64,
             (6_000.0 * n_log_n(n)) as u64,
@@ -1513,7 +1513,7 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
                         counts[..census]
                             .iter()
                             .enumerate()
-                            .all(|(st, &c)| c == 0 || handle.decode(st).stage.apx_done)
+                            .all(|(st, &c)| c == 0 || handle.decode(st).inner.stage.apx_done)
                     })
                 },
                 check_every,

@@ -55,10 +55,10 @@ fn main() {
                 .map(|(_, c)| c)
                 .sum()
         };
-        let leaders = tally(&|a| a.is_leader());
-        let done = tally(&|a| a.election.done);
-        let apx = tally(&|a| a.stage.apx_done);
-        let mult = tally(&|a| a.stage.multiplied);
+        let leaders = tally(&|a| a.inner.is_leader());
+        let done = tally(&|a| a.inner.election.done);
+        let apx = tally(&|a| a.inner.stage.apx_done);
+        let mult = tally(&|a| a.inner.stage.multiplied);
         let phase = occupied
             .iter()
             .map(|(a, _)| a.sync.clock.phase)
@@ -71,13 +71,15 @@ fn main() {
             .unwrap();
         let k = occupied
             .iter()
-            .find(|(a, _)| a.stage.apx_done)
-            .map(|(a, _)| a.stage.k);
-        let leader = occupied.iter().find(|(a, _)| a.is_leader());
-        let (li, ll) = leader.map_or((0, 0), |(a, _)| (a.stage.explosions(), a.stage.l));
+            .find(|(a, _)| a.inner.stage.apx_done)
+            .map(|(a, _)| a.inner.stage.k);
+        let leader = occupied.iter().find(|(a, _)| a.inner.is_leader());
+        let (li, ll) = leader.map_or((0, 0), |(a, _)| {
+            (a.inner.stage.explosions(), a.inner.stage.l)
+        });
         let total_l: u128 = occupied
             .iter()
-            .map(|(a, c)| u128::from(a.stage.l) * u128::from(*c))
+            .map(|(a, c)| u128::from(a.inner.stage.l) * u128::from(*c))
             .sum();
         let stats = sim.output_stats();
         println!(

@@ -58,7 +58,7 @@ impl StableApproximateAgent {
             && self.ed.entered
             && self.ed.relative_phase(clock_phase) >= ERROR_DETECTION_PHASES - 1
         {
-            self.fast.search.k
+            self.fast.inner.search.k
         } else {
             self.backup.k_max
         }
@@ -132,10 +132,10 @@ impl Protocol for StableApproximate {
 
         // Error source 1: two agents that both finished the leader election as
         // leaders detect the collision when they meet.
-        if initiator.fast.election.done
-            && responder.fast.election.done
-            && initiator.fast.election.contender
-            && responder.fast.election.contender
+        if initiator.fast.inner.election.done
+            && responder.fast.inner.election.done
+            && initiator.fast.inner.election.contender
+            && responder.fast.inner.election.contender
         {
             initiator.error = true;
             responder.error = true;
@@ -150,16 +150,16 @@ impl Protocol for StableApproximate {
                 initiator.ed.start_phase = initiator.fast.sync.clock.phase;
             }
             let ctx = ErrorDetectionContext {
-                u_leader: initiator.fast.election.contender,
-                v_leader: responder.fast.election.contender,
+                u_leader: initiator.fast.inner.election.contender,
+                v_leader: responder.fast.inner.election.contender,
                 u_first_tick: pass.u_first_tick,
                 u_phase: initiator.fast.sync.clock.phase,
                 v_phase: responder.fast.sync.clock.phase,
             };
             error_detection_interact(
-                &mut initiator.fast.search,
+                &mut initiator.fast.inner.search,
                 &mut initiator.ed,
-                &mut responder.fast.search,
+                &mut responder.fast.inner.search,
                 &mut responder.ed,
                 &ctx,
             );
@@ -212,7 +212,7 @@ mod tests {
     fn output_falls_back_to_backup_before_validation_and_on_error() {
         let mut a = StableApproximateAgent::new();
         a.backup.k_max = 5;
-        a.fast.search.k = 9;
+        a.fast.inner.search.k = 9;
         assert_eq!(a.estimate(0), 5, "no validated fast result yet");
 
         a.ed.entered = true;
@@ -231,8 +231,8 @@ mod tests {
         let mut v = StableApproximateAgent::new();
         for agent in [&mut u, &mut v] {
             agent.fast.sync.junta.active = false;
-            agent.fast.election.done = true;
-            agent.fast.election.contender = true;
+            agent.fast.inner.election.done = true;
+            agent.fast.inner.election.contender = true;
         }
         proto.interact(&mut u, &mut v, &mut rng);
         assert!(u.error && v.error);

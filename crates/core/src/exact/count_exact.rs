@@ -16,7 +16,6 @@ use ppproto::composition::{
     DenseComposition, SyncComposition, SyncCtx, SyncedAgent, SyncedComponent,
 };
 use ppproto::fast_leader_election::{FastLeaderElection, FastLeaderState};
-use ppproto::phase_clock::SyncState;
 use ppsim::stint::{AgentCodec, BoxedAgentStint};
 use ppsim::{DenseProtocol, PersistState, Protocol, SnapshotReader};
 
@@ -25,63 +24,9 @@ use crate::params::CountExactParams;
 use super::approximation_stage::{approximation_interact, ApproximationContext, ExactStageState};
 use super::refinement_stage::{refinement_interact, refinement_output, RefinementContext};
 
-/// Per-agent state of protocol `CountExact` (Figure 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct CountExactAgent {
-    /// Junta process + phase clock.
-    pub sync: SyncState,
-    /// Fast leader-election component.
-    pub election: FastLeaderState,
-    /// Approximation- and refinement-stage state (`i_u`, `k_u`, `ℓ_u`, `ApxDone_u`).
-    pub stage: ExactStageState,
-}
-
-/// Snapshot codec: fields in declaration order (see [`ppsim::snapshot`]) —
-/// lets [`ppsim::Checkpointable`] snapshot a sequential `CountExact` run.
-impl PersistState for CountExactAgent {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.sync.persist(out);
-        self.election.persist(out);
-        self.stage.persist(out);
-    }
-
-    fn unpersist(r: &mut SnapshotReader<'_>) -> Result<Self, ppsim::SimError> {
-        Ok(CountExactAgent {
-            sync: SyncState::unpersist(r)?,
-            election: FastLeaderState::unpersist(r)?,
-            stage: ExactStageState::unpersist(r)?,
-        })
-    }
-}
-
-impl CountExactAgent {
-    /// The common initial state.
-    #[must_use]
-    pub fn new() -> Self {
-        CountExactAgent {
-            sync: SyncState::new(),
-            election: FastLeaderState::new(),
-            stage: ExactStageState::new(),
-        }
-    }
-
-    /// Whether this agent currently considers itself the leader.
-    #[must_use]
-    pub fn is_leader(&self) -> bool {
-        self.election.contender
-    }
-
-    /// The leader's approximation of `log₂ n` (Lemma 10), once the approximation
-    /// stage has concluded.
-    #[must_use]
-    pub fn approximation(&self) -> Option<i64> {
-        if self.stage.apx_done {
-            Some(self.stage.k)
-        } else {
-            None
-        }
-    }
-}
+/// Per-agent state of protocol `CountExact` (Figure 3 of the paper): the
+/// synchronisation base (junta + phase clock) over [`CountExactCore`].
+pub type CountExactAgent = SyncedAgent<CountExactCore>;
 
 /// Protocol `CountExact` (Algorithm 3).
 ///
@@ -122,6 +67,25 @@ pub struct CountExactCore {
     pub election: FastLeaderState,
     /// Approximation- and refinement-stage state (`i_u`, `k_u`, `ℓ_u`, `ApxDone_u`).
     pub stage: ExactStageState,
+}
+
+impl CountExactCore {
+    /// Whether this agent currently considers itself the leader.
+    #[must_use]
+    pub fn is_leader(&self) -> bool {
+        self.election.contender
+    }
+
+    /// The leader's approximation of `log₂ n` (Lemma 10), once the approximation
+    /// stage has concluded.
+    #[must_use]
+    pub fn approximation(&self) -> Option<i64> {
+        if self.stage.apx_done {
+            Some(self.stage.k)
+        } else {
+            None
+        }
+    }
 }
 
 /// Snapshot codec: fields in declaration order (see [`ppsim::snapshot`]).
@@ -206,26 +170,6 @@ impl SyncedComponent for CountExactComponent {
     }
 }
 
-/// Pack a [`CountExactAgent`] into the composition layer's agent shape.
-fn pack(agent: &CountExactAgent) -> SyncedAgent<CountExactCore> {
-    SyncedAgent {
-        sync: agent.sync,
-        inner: CountExactCore {
-            election: agent.election,
-            stage: agent.stage,
-        },
-    }
-}
-
-/// Unpack the composition layer's agent shape back into a [`CountExactAgent`].
-fn unpack(agent: SyncedAgent<CountExactCore>) -> CountExactAgent {
-    CountExactAgent {
-        sync: agent.sync,
-        election: agent.inner.election,
-        stage: agent.inner.stage,
-    }
-}
-
 impl CountExact {
     /// Create the protocol from its parameters.
     #[must_use]
@@ -251,7 +195,8 @@ impl CountExact {
 
     /// The composed synchronisation base + stage component this protocol runs
     /// (shared with [`DenseCountExact`], which executes the identical
-    /// transition system on the count-based engines).
+    /// transition system on the count-based engines, and with the stable
+    /// variant, which runs it as its fast protocol).
     pub(crate) fn composition(&self) -> &SyncComposition<CountExactComponent> {
         &self.composition
     }
@@ -260,23 +205,7 @@ impl CountExact {
     /// can inspect outputs without constructing the protocol's associated type).
     #[must_use]
     pub fn agent_output(&self, agent: &CountExactAgent) -> Option<u64> {
-        refinement_output(&agent.stage, self.params.refinement_constant())
-    }
-
-    /// Shared per-interaction preamble and staged dispatch, reused by the stable
-    /// variant.  Returns `true` if the initiator was re-initialised.
-    pub(crate) fn staged_interact(
-        &self,
-        initiator: &mut CountExactAgent,
-        responder: &mut CountExactAgent,
-    ) -> bool {
-        let mut u = pack(initiator);
-        let mut v = pack(responder);
-        // Lines 1–4 of Algorithm 3, then the staged dispatch.
-        let ctx = self.composition.interact_pair(&mut u, &mut v);
-        *initiator = unpack(u);
-        *responder = unpack(v);
-        ctx.u_reset
+        self.composition.output(agent)
     }
 }
 
@@ -291,7 +220,7 @@ impl Protocol for CountExact {
     type Output = Option<u64>;
 
     fn initial_state(&self) -> CountExactAgent {
-        CountExactAgent::new()
+        self.composition.initial_state()
     }
 
     fn interact(
@@ -300,11 +229,12 @@ impl Protocol for CountExact {
         responder: &mut CountExactAgent,
         _rng: &mut SmallRng,
     ) {
-        self.staged_interact(initiator, responder);
+        // Lines 1–4 of Algorithm 3, then the staged dispatch.
+        self.composition.interact_pair(initiator, responder);
     }
 
     fn output(&self, state: &CountExactAgent) -> Option<u64> {
-        refinement_output(&state.stage, self.params.refinement_constant())
+        self.agent_output(state)
     }
 
     fn name(&self) -> &'static str {
@@ -449,19 +379,14 @@ impl DenseCountExact {
     /// Panics if `index` has not been assigned to any state yet.
     #[must_use]
     pub fn decode(&self, index: usize) -> CountExactAgent {
-        let agent = self.inner.decode(index);
-        CountExactAgent {
-            sync: agent.sync,
-            election: agent.inner.election,
-            stage: agent.inner.stage,
-        }
+        self.inner.decode(index)
     }
 
     /// Encode a per-agent state as its dense index, interning it on first
     /// appearance.
     #[must_use]
     pub fn encode(&self, agent: CountExactAgent) -> usize {
-        self.inner.encode(pack(&agent))
+        self.inner.encode(agent)
     }
 
     /// How many distinct states have been discovered so far — the empirical
@@ -551,15 +476,15 @@ impl AgentCodec for DenseCountExact {
         *self.inner.base()
     }
 
-    fn decode_agent(&self, index: usize) -> SyncedAgent<CountExactCore> {
+    fn decode_agent(&self, index: usize) -> CountExactAgent {
         self.inner.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<SyncedAgent<CountExactCore>> {
+    fn try_decode_agent(&self, index: usize) -> Option<CountExactAgent> {
         self.inner.try_decode_agent(index)
     }
 
-    fn encode_agent(&self, state: &SyncedAgent<CountExactCore>) -> usize {
+    fn encode_agent(&self, state: &CountExactAgent) -> usize {
         self.inner.encode(*state)
     }
 }
@@ -572,10 +497,10 @@ mod tests {
     #[test]
     fn initial_agent_has_no_output() {
         let p = CountExact::default();
-        let a = CountExactAgent::new();
+        let a = CountExactAgent::default();
         assert_eq!(p.agent_output(&a), None);
-        assert_eq!(a.approximation(), None);
-        assert!(a.is_leader());
+        assert_eq!(a.inner.approximation(), None);
+        assert!(a.inner.is_leader());
     }
 
     #[test]
@@ -602,7 +527,7 @@ mod tests {
         let proto = CountExact::default();
         let mut sim = Simulator::new(proto, n, 99).unwrap();
         let outcome = sim.run_until(
-            |s| s.states().iter().any(|a| a.stage.apx_done),
+            |s| s.states().iter().any(|a| a.inner.stage.apx_done),
             (n * 10) as u64,
             80_000_000,
         );
@@ -613,13 +538,31 @@ mod tests {
         let k = sim
             .states()
             .iter()
-            .find_map(|a| a.approximation())
+            .find_map(|a| a.inner.approximation())
             .expect("some agent finished the approximation stage");
         let log_n = (n as f64).log2();
         assert!(
             (k as f64 - log_n).abs() <= 3.0,
             "approximation k = {k} is more than 3 away from log2 n = {log_n:.2}"
         );
+    }
+
+    #[test]
+    fn sequential_engine_and_decoded_stint_step_the_same_agents() {
+        // The refinement leg of the staged runner is a decoded stint over
+        // `DenseCountExact`; from the all-initial configuration and the same
+        // seed it is the sequential `CountExact` run, agent for agent.
+        use ppsim::stint::DecodedStint;
+        let (n, seed) = (300usize, 17u64);
+        let params = CountExactParams::default();
+        let mut reference = Simulator::new(CountExact::new(params), n, seed).unwrap();
+        let dense = DenseCountExact::with_capacity(params, 1 << 16);
+        let mut stint = DecodedStint::from_counts(dense, &[n as u64], seed);
+        for _ in 0..100 {
+            reference.run(100);
+            ppsim::AgentStint::run(&mut stint, 100);
+            assert_eq!(reference.states(), stint.states());
+        }
     }
 
     #[test]
@@ -633,6 +576,9 @@ mod tests {
             80_000_000,
         );
         assert!(outcome.converged());
-        assert_eq!(sim.states().iter().filter(|a| a.is_leader()).count(), 1);
+        assert_eq!(
+            sim.states().iter().filter(|a| a.inner.is_leader()).count(),
+            1
+        );
     }
 }

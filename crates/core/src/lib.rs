@@ -51,9 +51,14 @@
 //! ```
 //!
 //! Concretely: [`Approximate`] = `SyncComposition<`[`ApproximateComponent`]`>`
-//! over per-agent state [`ApproximateAgent`] `= (SyncState, LeaderState,
-//! SearchState)`; [`CountExact`] = `SyncComposition<`[`CountExactComponent`]`>`
-//! over [`CountExactAgent`] `= (SyncState, FastLeaderState, ExactStageState)`.
+//! over per-agent state [`ApproximateAgent`] `= SyncedAgent<`[`ApproximateCore`]`>`
+//! (`sync` = junta + phase clock; `inner` = `LeaderState` + `SearchState`);
+//! [`CountExact`] = `SyncComposition<`[`CountExactComponent`]`>` over
+//! [`CountExactAgent`] `= SyncedAgent<`[`CountExactCore`]`>` (`inner` =
+//! `FastLeaderState` + `ExactStageState`).  Both agent types are the
+//! composition's own per-agent state, so the sequential protocols, their
+//! dense encodings and the hybrid engine's decoded stints all step the same
+//! structs.
 //! The stable variants ([`StableApproximate`], [`StableCountExact`]) reuse the
 //! same base and stages 1–2, swapping stage 3 for error detection
 //! (Algorithms 6/7, Appendix F) with the Appendix C backups running alongside.

@@ -132,7 +132,7 @@ fn approximate_time_batched(n: usize, seed: u64) -> u64 {
             s.counts()
                 .iter()
                 .enumerate()
-                .all(|(st, &c)| c == 0 || proto.decode(st).election.done)
+                .all(|(st, &c)| c == 0 || proto.decode(st).inner.election.done)
         },
         (n as u64) * 4,
         u64::MAX >> 1,
@@ -144,7 +144,7 @@ fn approximate_time_batched(n: usize, seed: u64) -> u64 {
 fn approximate_time_sequential(n: usize, seed: u64) -> u64 {
     let mut sim = Simulator::new(Approximate::new(quick_approximate_params()), n, seed).unwrap();
     sim.run_until(
-        |s| s.states().iter().all(|a| a.election.done),
+        |s| s.states().iter().all(|a| a.inner.election.done),
         (n as u64) * 4,
         u64::MAX >> 1,
     )
@@ -164,7 +164,7 @@ fn count_exact_apx_time_batched(n: usize, seed: u64) -> u64 {
             s.counts()
                 .iter()
                 .enumerate()
-                .all(|(st, &c)| c == 0 || proto.decode(st).stage.apx_done)
+                .all(|(st, &c)| c == 0 || proto.decode(st).inner.stage.apx_done)
         },
         (n as u64) * 4,
         u64::MAX >> 1,
@@ -175,7 +175,7 @@ fn count_exact_apx_time_batched(n: usize, seed: u64) -> u64 {
 fn count_exact_apx_time_sequential(n: usize, seed: u64) -> u64 {
     let mut sim = Simulator::new(CountExact::new(quick_count_exact_params()), n, seed).unwrap();
     sim.run_until(
-        |s| s.states().iter().all(|a| a.stage.apx_done),
+        |s| s.states().iter().all(|a| a.inner.stage.apx_done),
         (n as u64) * 4,
         u64::MAX >> 1,
     )

@@ -18,21 +18,40 @@
 //! without a native codec falls back to.  They were recorded before the
 //! per-agent configuration edits and the run loop were shared between the
 //! engines.
+//!
+//! The snapshot-byte pins (`snapshot_digest`) fix the checkpoint bytes
+//! themselves: the per-agent state layout, the RNG stream and the payload
+//! order of the sequential engine and of both hybrid stint kinds.  They were
+//! recorded while `CountExact` and `Approximate` kept flat agent structs of
+//! their own and the decoded stint stepped its own agent vector; that they
+//! still match shows the composition's `SyncedAgent` persists the same bytes
+//! and the stint steps through the sequential engine without moving a draw.
 
-use popcount::{CountExactParams, DenseCountExact};
+use popcount::{Approximate, ApproximateParams, CountExact, CountExactParams, DenseCountExact};
 use ppproto::DenseJunta;
-use ppsim::{BatchedSimulator, DenseSimulator, Engine, HybridSimulator, SwitchDirection};
+use ppsim::{
+    BatchedSimulator, Checkpointable, DenseSimulator, Engine, HybridSimulator, Simulator,
+    SwitchDirection,
+};
+
+/// FNV-1a-64 over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
 
 /// FNV-1a over the full counts vector, as little-endian `u64`s.
 fn digest(counts: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in counts {
-        for b in c.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a(counts.iter().flat_map(|c| c.to_le_bytes()))
+}
+
+/// FNV-1a over an engine's framed checkpoint bytes.
+fn snapshot_digest(engine: &impl Checkpointable) -> u64 {
+    fnv1a(engine.save_state().to_bytes())
 }
 
 #[test]
@@ -65,6 +84,8 @@ fn dense_count_exact_hybrid_trajectory_is_pinned() {
     // (seed, (interactions, direction, occupied) per switch, states
     // discovered and counts digest after 200 000 interactions).
     type Switch = (u64, SwitchDirection, usize);
+    // Snapshot digest after 10 000 interactions, mid decoded stint.
+    let golden_snapshot: [(u64, u64); 2] = [(1, 0x6b2a_5cbc_fae5_a67a), (2, 0xbd5e_b2ad_4fcf_bc98)];
     let golden: [(u64, [Switch; 2], usize, u64); 2] = [
         (
             1,
@@ -102,6 +123,29 @@ fn dense_count_exact_hybrid_trajectory_is_pinned() {
         );
         assert_eq!(digest(&sim.counts()), hash, "seed {seed}");
     }
+    for (seed, hash) in golden_snapshot {
+        let proto = DenseCountExact::new(CountExactParams::dense_at_scale(N));
+        let mut sim = HybridSimulator::new(proto, N, seed).unwrap();
+        sim.run(10_000);
+        assert!(!sim.is_dense(), "seed {seed}: mid stint");
+        assert_eq!(snapshot_digest(&sim), hash, "seed {seed}");
+    }
+}
+
+#[test]
+fn count_exact_sequential_snapshot_is_pinned() {
+    const N: usize = 500;
+    let proto = CountExact::new(CountExactParams::dense_at_scale(N));
+    let mut sim = Simulator::new(proto, N, 7).unwrap();
+    sim.run(500_000);
+    assert_eq!(snapshot_digest(&sim), 0x8970_d625_e1a7_8f9f);
+}
+
+#[test]
+fn approximate_sequential_snapshot_is_pinned() {
+    let mut sim = Simulator::new(Approximate::new(ApproximateParams::default()), 500, 7).unwrap();
+    sim.run(500_000);
+    assert_eq!(snapshot_digest(&sim), 0xe3a8_31c9_6ac9_8857);
 }
 
 #[test]
@@ -124,4 +168,10 @@ fn identity_codec_stint_trajectory_is_pinned() {
     assert_eq!(points, [0, 1000]);
     assert_eq!(sim.occupied_states(), 9);
     assert_eq!(digest(&sim.counts()), 0x6e87_2bcf_057e_31e9);
+
+    let mut sim = HybridSimulator::new(DenseJunta::new(), 2000, 3).unwrap();
+    sim.switch_to_agent().unwrap();
+    sim.run(500);
+    assert!(!sim.is_dense());
+    assert_eq!(snapshot_digest(&sim), 0x8e86_b4e5_584d_72b4);
 }

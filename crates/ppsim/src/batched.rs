@@ -74,8 +74,8 @@ use crate::snapshot::{
 /// A single execution of a [`DenseProtocol`] on the batched count-based engine.
 ///
 /// Mirrors the [`Simulator`](crate::Simulator) driving surface (`run`,
-/// `run_until`, `run_until_observed`, `output_stats`, seeded construction) on
-/// a configuration stored as state counts.
+/// `run_until`, `output_stats`, seeded construction) on a configuration
+/// stored as state counts.
 #[derive(Debug, Clone)]
 pub struct BatchedSimulator<P: DenseProtocol> {
     protocol: P,
@@ -520,33 +520,6 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         )
     }
 
-    /// Run until `pred` holds, invoking `observer` after every check interval —
-    /// the same contract as
-    /// [`Simulator::run_until_observed`](crate::Simulator::run_until_observed).
-    pub fn run_until_observed<F, Obs>(
-        &mut self,
-        mut pred: F,
-        mut observer: Obs,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-        Obs: FnMut(&Self),
-    {
-        convergence::run_until(
-            self,
-            Self::interactions,
-            Self::run,
-            |s| {
-                observer(s);
-                pred(s)
-            },
-            check_every,
-            max_interactions,
-        )
-    }
-
     /// Consume the simulator and return the final configuration counts.
     #[must_use]
     pub fn into_counts(self) -> Vec<u64> {
@@ -867,21 +840,6 @@ mod tests {
             }
         );
         assert_eq!(sim.interactions(), 100);
-    }
-
-    #[test]
-    fn observer_sees_monotone_interaction_counts() {
-        let mut sim = BatchedSimulator::new(Rumor, 5000, 13).unwrap();
-        sim.transfer(0, 1, 1).unwrap();
-        let mut checkpoints = Vec::new();
-        let _ = sim.run_until_observed(
-            |s| s.count_of(1) == s.population(),
-            |s| checkpoints.push(s.interactions()),
-            1000,
-            50_000_000,
-        );
-        assert_eq!(checkpoints[0], 0);
-        assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -83,8 +83,8 @@ impl RunOutcome {
     }
 }
 
-/// The absolute-chunk loop behind every engine's `run_until` and
-/// `run_until_observed`: probe once before the first step, then run
+/// The absolute-chunk loop behind every engine's `run_until`: probe once
+/// before the first step, then run
 /// `min(check_every, max_interactions − interactions)` and probe again,
 /// until the probe holds or `max_interactions` *total* interactions have
 /// been executed.

@@ -147,8 +147,8 @@ impl Default for ShardedConfig {
 /// A single execution of a [`DenseProtocol`] on the sharded batched engine.
 ///
 /// Mirrors the [`BatchedSimulator`] driving surface (`run`, `run_until`,
-/// `run_until_observed`, `output_stats`, `transfer`, seeded construction) on
-/// a population partitioned across shard-local counts vectors.
+/// `output_stats`, `transfer`, seeded construction) on a population
+/// partitioned across shard-local counts vectors.
 ///
 /// The protocol must be `Clone + Send` (each shard owns a copy and may be
 /// advanced on a worker thread).
@@ -710,32 +710,6 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         )
     }
 
-    /// Run until `pred` holds, invoking `observer` after every check interval —
-    /// the same contract as [`BatchedSimulator::run_until_observed`].
-    pub fn run_until_observed<F, Obs>(
-        &mut self,
-        mut pred: F,
-        mut observer: Obs,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-        Obs: FnMut(&Self),
-    {
-        convergence::run_until(
-            self,
-            Self::interactions,
-            Self::run,
-            |s| {
-                observer(s);
-                pred(s)
-            },
-            check_every,
-            max_interactions,
-        )
-    }
-
     /// Consume the simulator and return the final configuration counts.
     #[must_use]
     pub fn into_counts(self) -> Vec<u64> {
@@ -1069,21 +1043,6 @@ mod tests {
             }
         );
         assert_eq!(sim.interactions(), 100);
-    }
-
-    #[test]
-    fn observer_sees_monotone_interaction_counts() {
-        let mut sim = ShardedBatchedSimulator::new(Rumor, 5000, 13, config(4, 1)).unwrap();
-        sim.transfer(0, 1, 1).unwrap();
-        let mut checkpoints = Vec::new();
-        let _ = sim.run_until_observed(
-            |s| s.count_of(1) == s.population(),
-            |s| checkpoints.push(s.interactions()),
-            1000,
-            50_000_000,
-        );
-        assert_eq!(checkpoints[0], 0);
-        assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

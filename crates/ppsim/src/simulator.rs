@@ -1,4 +1,12 @@
 //! The sequential simulator driving a single protocol execution.
+//!
+//! [`Simulator`] is the crate's one per-agent stepping loop: a `Vec` of agent
+//! states, a scheduler, an RNG and an interaction counter.  The sequential
+//! arm of [`DenseSimulator`](crate::DenseSimulator) runs it over
+//! [`DenseAdapter`](crate::DenseAdapter), and the hybrid engine's per-agent
+//! stints ([`DecodedStint`](crate::stint::DecodedStint)) run it over a
+//! codec's native protocol, adding only their occupancy census — so every
+//! per-agent trajectory in the crate comes from the same step.
 
 use rand::rngs::SmallRng;
 
@@ -9,7 +17,8 @@ use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
 use crate::scheduler::{Scheduler, UniformScheduler};
 use crate::snapshot::{
-    persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, ENGINE_SEQUENTIAL,
+    persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, SnapshotReader,
+    ENGINE_SEQUENTIAL,
 };
 
 /// A single execution of a population protocol.
@@ -63,6 +72,47 @@ impl<P: Protocol> Simulator<P, UniformScheduler> {
     /// Returns [`SimError::PopulationTooSmall`] if `n < 2`.
     pub fn new(protocol: P, n: usize, seed: u64) -> Result<Self, SimError> {
         Self::with_scheduler(protocol, n, seed, UniformScheduler::new())
+    }
+
+    /// A simulator mid-run from its configuration, schedule RNG and
+    /// interaction count: how a per-agent stint of the hybrid engine starts.
+    /// The caller checks the population size.
+    pub(crate) fn from_parts(
+        protocol: P,
+        states: Vec<P::State>,
+        rng: SmallRng,
+        interactions: u64,
+    ) -> Self {
+        Simulator {
+            protocol,
+            scheduler: UniformScheduler::new(),
+            states,
+            rng,
+            interactions,
+        }
+    }
+
+    /// Append the per-agent stint payload: interaction count, schedule RNG,
+    /// per-agent states.
+    pub(crate) fn persist_parts(&self, out: &mut Vec<u8>)
+    where
+        P::State: PersistState,
+    {
+        self.interactions.persist(out);
+        persist_rng(&self.rng, out);
+        self.states.persist(out);
+    }
+
+    /// Read back a payload written by [`Self::persist_parts`].  The caller
+    /// checks the population size.
+    pub(crate) fn unpersist_parts(protocol: P, r: &mut SnapshotReader<'_>) -> Result<Self, SimError>
+    where
+        P::State: PersistState,
+    {
+        let interactions = r.read::<u64>()?;
+        let rng = unpersist_rng(r)?;
+        let states = r.read::<Vec<P::State>>()?;
+        Ok(Self::from_parts(protocol, states, rng, interactions))
     }
 }
 
@@ -159,6 +209,14 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
 
     /// Execute exactly one interaction.
     pub fn step(&mut self) {
+        self.step_pair();
+    }
+
+    /// Execute exactly one interaction and return the `(initiator,
+    /// responder)` agent indices, so a caller keeping per-agent bookkeeping
+    /// (the stint's census) can refresh the two agents it touched.
+    #[inline]
+    pub(crate) fn step_pair(&mut self) -> (usize, usize) {
         let n = self.states.len();
         let (i, j) = self.scheduler.next_pair(n, &mut self.rng);
         debug_assert_ne!(i, j);
@@ -172,6 +230,7 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
         };
         self.protocol.interact(a, b, &mut self.rng);
         self.interactions += 1;
+        (i, j)
     }
 
     /// Execute `budget` further interactions unconditionally.
@@ -198,35 +257,6 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
             Self::interactions,
             Self::run,
             pred,
-            check_every,
-            max_interactions,
-        )
-    }
-
-    /// Run until `pred` holds, invoking `observer` after every check interval.
-    ///
-    /// The observer receives the simulator after each chunk of `check_every`
-    /// interactions; it is used by the measurement harness to record time series and
-    /// empirical state-space usage without entangling measurement with simulation.
-    pub fn run_until_observed<F, Obs>(
-        &mut self,
-        mut pred: F,
-        mut observer: Obs,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-        Obs: FnMut(&Self),
-    {
-        convergence::run_until(
-            self,
-            Self::interactions,
-            Self::run,
-            |s| {
-                observer(s);
-                pred(s)
-            },
             check_every,
             max_interactions,
         )
@@ -395,24 +425,6 @@ mod tests {
         b.run(200);
         // With overwhelming probability the informed sets differ after 200 steps.
         assert_ne!(a.states(), b.states());
-    }
-
-    #[test]
-    fn observer_sees_monotone_interaction_counts() {
-        let mut sim = Simulator::new(MaxBroadcast, 32, 4).unwrap();
-        sim.states_mut()[0] = 1;
-        let mut checkpoints = Vec::new();
-        let _ = sim.run_until_observed(
-            |s| s.states().iter().all(|&x| x == 1),
-            |s| checkpoints.push(s.interactions()),
-            64,
-            1_000_000,
-        );
-        assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            checkpoints[0], 0,
-            "observer is called before the first step"
-        );
     }
 
     #[test]

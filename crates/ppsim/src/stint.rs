@@ -17,16 +17,19 @@
 //!   on encode) plus a **native protocol** ([`AgentCodec::Native`]) whose
 //!   monomorphic [`Protocol::interact`] steps the decoded structs directly.
 //! * [`DecodedStint`] is the per-agent engine the hybrid engine runs between
-//!   migrations: it holds a `Vec` of native structs, steps them with
-//!   `Protocol::interact` — no interner lookup, no δ-memo probe — and
-//!   consults the codec only at the migration boundaries (expand on
-//!   dense → agent, tally + intern on agent → dense), so the hand-off stays
-//!   the exact Markov-in-configuration transfer.
+//!   migrations: the sequential engine ([`Simulator`]) over the codec's
+//!   native protocol, so its `Vec` of native structs is stepped by the one
+//!   per-agent loop in this crate — no interner lookup, no δ-memo probe.
+//!   The stint adds only the occupancy census and consults the codec only
+//!   at the migration boundaries (expand on dense → agent, tally + intern on
+//!   agent → dense), so the hand-off stays the exact
+//!   Markov-in-configuration transfer.
 //! * Protocols without a native decoding run the same stint over
 //!   [`DenseAdapter`](crate::DenseAdapter)'s identity codec: the "native"
 //!   state is the dense index itself, stepped through
-//!   [`DenseProtocol::transition`] — exactly the sequential engine's
-//!   `Simulator<DenseAdapter<P>>`, which that stint retraces step for step.
+//!   [`DenseProtocol::transition`] — the stint's engine is then exactly
+//!   `Simulator<DenseAdapter<P>>`, the sequential arm of
+//!   [`DenseSimulator`](crate::DenseSimulator).
 //!
 //! The per-agent configuration edits — `count_of`, the tally, the
 //! state-index-order expansion, `transfer` and `corrupt` — are written once
@@ -133,8 +136,8 @@ use crate::dense::DenseProtocol;
 use crate::error::{check_corrupt, check_transfer, invalid_target, SimError};
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
-use crate::scheduler::{Scheduler, UniformScheduler};
-use crate::snapshot::{persist_rng, unpersist_rng, PersistState, SnapshotReader};
+use crate::simulator::Simulator;
+use crate::snapshot::{PersistState, SnapshotReader};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -481,36 +484,29 @@ impl<O> Clone for BoxedAgentStint<O> {
     }
 }
 
-/// A per-agent stint over **native structs**: a `Vec` of decoded states
-/// stepped by the codec's native [`Protocol::interact`], with the occupancy
-/// census maintained incrementally (see the module docs).
+/// A per-agent stint over **native structs**: the sequential engine
+/// ([`Simulator`]) stepping the codec's native protocol, plus the occupancy
+/// census it maintains incrementally (see the module docs).
 ///
 /// Construction decodes each occupied index once and fans the struct out by
 /// its multiplicity (the dense → agent boundary); [`Self::counts`] encodes
 /// each agent back (the agent → dense boundary, deduplicated so each
 /// distinct state hits the interner once).  In between, the codec is never
 /// consulted.
+#[derive(Clone)]
 pub struct DecodedStint<P: AgentCodec> {
     codec: P,
-    native: P::Native,
-    states: Vec<AgentState<P>>,
+    sim: Simulator<P::Native>,
     census: Census,
-    scheduler: UniformScheduler,
-    rng: SmallRng,
-    interactions: u64,
 }
 
 impl<P: AgentCodec> DecodedStint<P> {
-    /// A stint over `states` with a freshly built census.
-    fn with_states(codec: P, states: Vec<AgentState<P>>, rng: SmallRng, interactions: u64) -> Self {
+    /// A stint stepping `sim`, with a freshly built census.
+    fn with_sim(codec: P, sim: Simulator<P::Native>) -> Self {
         DecodedStint {
-            native: codec.native(),
+            census: Census::of(sim.states()),
             codec,
-            census: Census::of(&states),
-            states,
-            scheduler: UniformScheduler::new(),
-            rng,
-            interactions,
+            sim,
         }
     }
 
@@ -528,7 +524,8 @@ impl<P: AgentCodec> DecodedStint<P> {
         let n: u64 = counts.iter().sum();
         assert!(n >= 2, "a population needs at least two agents, got {n}");
         let states = expand(&codec, counts);
-        Self::with_states(codec, states, seeded_rng(seed), 0)
+        let sim = Simulator::from_parts(codec.native(), states, seeded_rng(seed), 0);
+        Self::with_sim(codec, sim)
     }
 
     /// Boxed construction for [`DenseProtocol::agent_stint`] implementations.
@@ -568,21 +565,14 @@ impl<P: AgentCodec> DecodedStint<P> {
         AgentState<P>: PersistState,
     {
         let mut r = SnapshotReader::new(bytes);
-        let interactions = r.read::<u64>()?;
-        let rng = unpersist_rng(&mut r)?;
-        let states = r.read::<Vec<AgentState<P>>>()?;
+        let sim = Simulator::unpersist_parts(codec.native(), &mut r)?;
         r.finish()?;
-        if states.len() < 2 {
+        if sim.population() < 2 {
             return Err(SimError::SnapshotCorrupt {
-                reason: format!("per-agent stint population {} is below 2", states.len()),
+                reason: format!("per-agent stint population {} is below 2", sim.population()),
             });
         }
-        Ok(Box::new(Self::with_states(
-            codec,
-            states,
-            rng,
-            interactions,
-        )))
+        Ok(Box::new(Self::with_sim(codec, sim)))
     }
 
     /// The codec this stint decodes/encodes through.
@@ -594,42 +584,7 @@ impl<P: AgentCodec> DecodedStint<P> {
     /// Borrow the native per-agent states.
     #[must_use]
     pub fn states(&self) -> &[AgentState<P>] {
-        &self.states
-    }
-
-    /// Execute exactly one interaction and maintain the census.
-    pub fn step(&mut self) {
-        let n = self.states.len();
-        let (i, j) = self.scheduler.next_pair(n, &mut self.rng);
-        debug_assert_ne!(i, j);
-        let (a, b) = if i < j {
-            let (lo, hi) = self.states.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
-        } else {
-            let (lo, hi) = self.states.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
-        self.native.interact(a, b, &mut self.rng);
-        self.interactions += 1;
-        self.census.refresh(i, &self.states[i]);
-        self.census.refresh(j, &self.states[j]);
-    }
-}
-
-impl<P: AgentCodec> Clone for DecodedStint<P>
-where
-    P::Native: Clone,
-{
-    fn clone(&self) -> Self {
-        DecodedStint {
-            codec: self.codec.clone(),
-            native: self.native.clone(),
-            states: self.states.clone(),
-            census: self.census.clone(),
-            scheduler: self.scheduler,
-            rng: self.rng.clone(),
-            interactions: self.interactions,
-        }
+        self.sim.states()
     }
 }
 
@@ -637,8 +592,8 @@ impl<P: AgentCodec> fmt::Debug for DecodedStint<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DecodedStint")
             .field("kind", &self.codec.stint_label())
-            .field("population", &self.states.len())
-            .field("interactions", &self.interactions)
+            .field("population", &self.sim.population())
+            .field("interactions", &self.sim.interactions())
             .field("occupied", &self.census.occupied())
             .finish_non_exhaustive()
     }
@@ -653,16 +608,19 @@ where
 {
     fn run(&mut self, budget: u64) {
         for _ in 0..budget {
-            self.step();
+            let (i, j) = self.sim.step_pair();
+            let states = self.sim.states();
+            self.census.refresh(i, &states[i]);
+            self.census.refresh(j, &states[j]);
         }
     }
 
     fn interactions(&self) -> u64 {
-        self.interactions
+        self.sim.interactions()
     }
 
     fn population(&self) -> usize {
-        self.states.len()
+        self.sim.population()
     }
 
     fn occupied_states(&self) -> usize {
@@ -674,7 +632,7 @@ where
         // hits the (locked, SipHashed) interner once, not once per agent.
         let mut index_of: HashMap<AgentState<P>, usize, BuildHasherDefault<StateHasher>> =
             HashMap::default();
-        tally(&self.states, self.codec.num_states(), |state| {
+        tally(self.sim.states(), self.codec.num_states(), |state| {
             *index_of
                 .entry(state.clone())
                 .or_insert_with(|| self.codec.encode_agent(state))
@@ -682,16 +640,16 @@ where
     }
 
     fn count_of(&self, state: usize) -> u64 {
-        count_of(&self.codec, &self.states, state)
+        count_of(&self.codec, self.sim.states(), state)
     }
 
     fn output_stats(&self) -> ConfigurationStats<<P as DenseProtocol>::Output> {
-        ConfigurationStats::from_states(&self.native, &self.states)
+        self.sim.output_stats()
     }
 
     fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        let census = &mut self.census;
-        transfer(&self.codec, &mut self.states, from, to, k, |idx, state| {
+        let (census, states) = (&mut self.census, self.sim.states_mut());
+        transfer(&self.codec, states, from, to, k, |idx, state| {
             census.refresh(idx, state);
         })
     }
@@ -702,17 +660,10 @@ where
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        let census = &mut self.census;
-        corrupt(
-            &self.codec,
-            &mut self.states,
-            k,
-            rng,
-            new_state,
-            |idx, state| {
-                census.refresh(idx, state);
-            },
-        )
+        let (census, states) = (&mut self.census, self.sim.states_mut());
+        corrupt(&self.codec, states, k, rng, new_state, |idx, state| {
+            census.refresh(idx, state);
+        })
     }
 
     fn kind(&self) -> &'static str {
@@ -724,9 +675,7 @@ where
     }
 
     fn save_stint(&self, out: &mut Vec<u8>) {
-        self.interactions.persist(out);
-        persist_rng(&self.rng, out);
-        self.states.persist(out);
+        self.sim.persist_parts(out);
     }
 }
 
@@ -856,15 +805,10 @@ mod tests {
             DecodedStint::restore_boxed(DenseAdapter(Rumor), &bytes[..bytes.len() - 1]).is_err()
         );
 
-        let lonely = DecodedStint {
-            codec: DenseAdapter(Rumor),
-            native: DenseAdapter(Rumor),
-            states: vec![0u32],
-            census: Census::of(&[0u32]),
-            scheduler: UniformScheduler::new(),
-            rng: seeded_rng(0),
-            interactions: 0,
-        };
+        let lonely = DecodedStint::with_sim(
+            DenseAdapter(Rumor),
+            Simulator::from_parts(DenseAdapter(Rumor), vec![0u32], seeded_rng(0), 0),
+        );
         let mut bytes = Vec::new();
         lonely.save_stint(&mut bytes);
         assert!(matches!(
